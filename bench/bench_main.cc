@@ -7,6 +7,7 @@
  */
 
 #include "bench_common.hh"
+#include "cli.hh"
 
 #include <algorithm>
 #include <chrono>
@@ -65,14 +66,6 @@ usage(const char* argv0)
         << "  --jobs N      worker threads for the sweep (default: all "
            "hardware threads);\n"
         << "                results are bit-identical regardless of N\n"
-        << "  --threads N   intra-run parallel event kernel: shard each "
-           "chip into\n"
-        << "                mesh-quadrant timing domains run by up to N "
-           "workers\n"
-        << "                (CBSIM_THREADS). 0 = classic serial kernel. "
-           "Results are\n"
-        << "                bit-identical for every N >= 1 "
-           "(docs/DESIGN.md)\n"
         << "  --quick       16 cores, scaled-down workloads (smoke runs)\n"
         << "  --smoke       4 cores, tiny workloads, reduced suite "
            "(ctest tier-2)\n"
@@ -160,16 +153,6 @@ result(const std::string& key)
     return it->second;
 }
 
-/** Parse a --jobs value; rejects anything but a plain decimal count. */
-bool
-parseJobs(const std::string& s, unsigned& out)
-{
-    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    out = static_cast<unsigned>(std::stoul(s));
-    return true;
-}
-
 /** Parse a --job-timeout-s value: a non-negative decimal number. */
 bool
 parseSeconds(const std::string& s, double& out)
@@ -203,32 +186,11 @@ benchMain(int argc, char** argv)
             mode().scale = 0.1;
             mode().microIters = 2;
         } else if (a == "--jobs" && i + 1 < argc) {
-            if (!parseJobs(argv[++i], mode().jobs)) {
-                std::cerr << "--jobs: not a number: " << argv[i] << "\n";
+            if (!parseUnsignedFlag("--jobs", argv[++i], mode().jobs))
                 return 2;
-            }
         } else if (a.rfind("--jobs=", 0) == 0) {
-            if (!parseJobs(a.substr(7), mode().jobs)) {
-                std::cerr << "--jobs: not a number: " << a.substr(7)
-                          << "\n";
+            if (!parseUnsignedFlag("--jobs", a.substr(7), mode().jobs))
                 return 2;
-            }
-        } else if (a == "--threads" && i + 1 < argc) {
-            unsigned threads = 0;
-            if (!parseJobs(argv[++i], threads)) {
-                std::cerr << "--threads: not a number: " << argv[i]
-                          << "\n";
-                return 2;
-            }
-            ChipConfig::setDefaultThreads(threads);
-        } else if (a.rfind("--threads=", 0) == 0) {
-            unsigned threads = 0;
-            if (!parseJobs(a.substr(10), threads)) {
-                std::cerr << "--threads: not a number: " << a.substr(10)
-                          << "\n";
-                return 2;
-            }
-            ChipConfig::setDefaultThreads(threads);
         } else if (a == "--out-dir" && i + 1 < argc) {
             mode().outDir = argv[++i];
         } else if (a.rfind("--out-dir=", 0) == 0) {
@@ -236,17 +198,13 @@ benchMain(int argc, char** argv)
         } else if (a == "--no-json") {
             mode().writeJson = false;
         } else if (a == "--max-failures" && i + 1 < argc) {
-            if (!parseJobs(argv[++i], max_failures)) {
-                std::cerr << "--max-failures: not a number: " << argv[i]
-                          << "\n";
+            if (!parseUnsignedFlag("--max-failures", argv[++i],
+                                   max_failures))
                 return 2;
-            }
         } else if (a.rfind("--max-failures=", 0) == 0) {
-            if (!parseJobs(a.substr(15), max_failures)) {
-                std::cerr << "--max-failures: not a number: "
-                          << a.substr(15) << "\n";
+            if (!parseUnsignedFlag("--max-failures", a.substr(15),
+                                   max_failures))
                 return 2;
-            }
         } else if (a == "--job-timeout-s" && i + 1 < argc) {
             if (!parseSeconds(argv[++i], job_timeout_s)) {
                 std::cerr << "--job-timeout-s: not a duration: "
@@ -268,17 +226,12 @@ benchMain(int argc, char** argv)
         } else if (a == "--resume") {
             mode().resume = true;
         } else if (a == "--retries" && i + 1 < argc) {
-            if (!parseJobs(argv[++i], mode().retries)) {
-                std::cerr << "--retries: not a number: " << argv[i]
-                          << "\n";
+            if (!parseUnsignedFlag("--retries", argv[++i], mode().retries))
                 return 2;
-            }
         } else if (a.rfind("--retries=", 0) == 0) {
-            if (!parseJobs(a.substr(10), mode().retries)) {
-                std::cerr << "--retries: not a number: " << a.substr(10)
-                          << "\n";
+            if (!parseUnsignedFlag("--retries", a.substr(10),
+                                   mode().retries))
                 return 2;
-            }
         } else if (a == "--quarantine-dir" && i + 1 < argc) {
             mode().quarantineDir = argv[++i];
         } else if (a.rfind("--quarantine-dir=", 0) == 0) {

@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "harness/experiment.hh"
 #include "harness/json.hh"
 #include "sim/log.hh"
@@ -50,12 +51,6 @@ struct CellResult
     std::uint64_t events = 0; ///< kernel events per run (deterministic)
     double bestWallMs = 0.0;  ///< fastest full-experiment wall, --repeat
     double bestSimMs = 0.0;   ///< fastest event-loop window, --repeat
-
-    /** Parallel-kernel breakdown of the best event-loop run (empty /
-     * zero under the classic kernel). */
-    std::uint64_t timingDomains = 0;
-    std::uint64_t windows = 0;
-    std::vector<TimingDomains::WorkerPerf> workers;
 };
 
 struct Options
@@ -63,7 +58,6 @@ struct Options
     unsigned cores = 16;
     double scale = 0.25;
     unsigned repeat = 3;
-    unsigned threads = 0; ///< parallel event kernel workers (0 = classic)
     std::string out = "bench/results/perf/perf_kernel.json";
     bool writeJson = true;
 };
@@ -77,10 +71,6 @@ usage(const char* argv0)
         << "  --smoke       4 cores, tiny workloads (CI sanity)\n"
         << "  --repeat N    runs per cell, best-of-N wall time "
            "(default: 3)\n"
-        << "  --threads N   parallel event kernel with up to N workers "
-           "(0 = classic\n"
-        << "                serial kernel; results stay bit-identical, "
-           "docs/DESIGN.md)\n"
         << "  --out FILE    host-perf artifact path (default: "
            "bench/results/perf/perf_kernel.json)\n"
         << "  --no-json     skip writing the artifact\n"
@@ -113,16 +103,14 @@ writeArtifact(const Options& opt, const std::vector<CellResult>& cells)
         JsonWriter w(os);
         w.beginObject();
         w.field("schema", "cbsim-host-perf");
-        // v3: per-cell parallel-kernel fields (timing_domains, windows,
-        // per-worker busy/drain/wait breakdown) and config.threads.
-        w.field("schema_version", 3u);
+        // v4: v3's kernel-shard fields dropped (docs/PERF.md).
+        w.field("schema_version", 4u);
         w.field("bench", "perf_kernel");
         w.key("config");
         w.beginObject();
         w.field("cores", opt.cores);
         w.field("scale", opt.scale);
         w.field("repeat", opt.repeat);
-        w.field("threads", opt.threads);
         w.endObject();
         w.key("cells");
         w.beginArray();
@@ -140,18 +128,6 @@ writeArtifact(const Options& opt, const std::vector<CellResult>& cells)
             w.field("best_sim_ms", c.bestSimMs);
             w.field("events_per_sec",
                     eventsPerSec(c.events, c.bestSimMs));
-            w.field("timing_domains", c.timingDomains);
-            w.field("windows", c.windows);
-            w.key("workers");
-            w.beginArray();
-            for (const auto& wp : c.workers) {
-                w.beginObject();
-                w.field("busy_ms", wp.busyMs);
-                w.field("drain_ms", wp.drainMs);
-                w.field("wait_ms", wp.waitMs);
-                w.endObject();
-            }
-            w.endArray();
             w.endObject();
         }
         w.endArray();
@@ -191,10 +167,9 @@ perfMain(int argc, char** argv)
             opt.scale = 0.1;
             opt.repeat = 1;
         } else if (a == "--repeat" && i + 1 < argc) {
-            opt.repeat = static_cast<unsigned>(std::stoul(argv[++i]));
-        } else if (a == "--threads" && i + 1 < argc) {
-            opt.threads = static_cast<unsigned>(std::stoul(argv[++i]));
-            ChipConfig::setDefaultThreads(opt.threads);
+            if (!bench::parseUnsignedFlag("--repeat", argv[++i],
+                                          opt.repeat))
+                return 2;
         } else if (a == "--out" && i + 1 < argc) {
             opt.out = argv[++i];
         } else if (a == "--no-json") {
@@ -210,9 +185,6 @@ perfMain(int argc, char** argv)
     }
     if (opt.repeat == 0)
         opt.repeat = 1;
-    // Reflect the effective kernel selection (flag or CBSIM_THREADS) in
-    // the artifact's config block.
-    opt.threads = ChipConfig::defaultThreads();
 
     const std::vector<Profile> suite = quickSuite();
     std::vector<CellResult> cells;
@@ -237,12 +209,8 @@ perfMain(int argc, char** argv)
                         .count();
                 if (r == 0 || wall_ms < cell.bestWallMs)
                     cell.bestWallMs = wall_ms;
-                if (r == 0 || res.run.simWallMs < cell.bestSimMs) {
+                if (r == 0 || res.run.simWallMs < cell.bestSimMs)
                     cell.bestSimMs = res.run.simWallMs;
-                    cell.timingDomains = res.run.threads;
-                    cell.windows = res.run.windows;
-                    cell.workers = res.run.workerPerf;
-                }
                 cell.events = res.run.events;
             }
             std::cout << "  " << cell.key << ": " << cell.events

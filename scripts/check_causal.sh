@@ -8,16 +8,8 @@
 #
 #   1. Every artifact actually carries causal[] rows (the segment names
 #      must appear — an empty observer would pass a pure byte-compare).
-#   2. The artifacts are byte-identical across --jobs 1 and --jobs 4 on
-#      the classic kernel (sweep-worker invariance).
-#   3. The artifacts are byte-identical across CBSIM_THREADS 1, 2, and 4
-#      on the sharded parallel kernel (PDES-worker invariance: the
-#      stitcher folds per-domain shards, so any byte difference is a
-#      fold-order leak).
-#
-# The classic-kernel and parallel-kernel artifacts are *expected* to
-# differ from each other (the kernel choice is a config knob, schema
-# v6), so runs are only compared within their kernel family.
+#   2. The artifacts are byte-identical across --jobs 1 and --jobs 4
+#      (sweep-worker invariance).
 #
 # Usage: check_causal.sh <bench_all-binary> <scratch-dir>
 
@@ -30,16 +22,11 @@ rm -rf "$scratch"
 mkdir -p "$scratch"
 
 run_sweep() {
-    # run_sweep <out-subdir> <jobs> <threads-or-empty>
+    # run_sweep <out-subdir> <jobs>
     out="$scratch/$1"
     mkdir -p "$out"
-    if [ -n "$3" ]; then
-        CBSIM_OBS_CAUSAL=1 CBSIM_THREADS=$3 \
-            "$bin" --smoke --jobs "$2" --out-dir "$out" > "$out.log" 2>&1
-    else
-        CBSIM_OBS_CAUSAL=1 \
-            "$bin" --smoke --jobs "$2" --out-dir "$out" > "$out.log" 2>&1
-    fi || {
+    CBSIM_OBS_CAUSAL=1 \
+        "$bin" --smoke --jobs "$2" --out-dir "$out" > "$out.log" 2>&1 || {
         echo "check_causal: sweep $1 failed:" >&2
         tail -n 20 "$out.log" >&2
         exit 1
@@ -64,13 +51,8 @@ compare_dirs() {
     done
 }
 
-# Classic kernel across sweep-worker counts.
-run_sweep jobs1 1 ""
-run_sweep jobs4 4 ""
-# Parallel kernel across PDES-worker counts.
-run_sweep t1 2 1
-run_sweep t2 2 2
-run_sweep t4 2 4
+run_sweep jobs1 1
+run_sweep jobs4 4
 
 status=0
 artifacts=0
@@ -93,10 +75,7 @@ if [ "$artifacts" -eq 0 ]; then
 fi
 
 compare_dirs jobs1 jobs4
-compare_dirs t1 t2
-compare_dirs t1 t4
 
 [ "$status" -eq 0 ] && echo "check_causal: OK ($artifacts artifacts" \
-    "with causal[] rows; byte-identical across --jobs 1/4 and" \
-    "CBSIM_THREADS 1/2/4)"
+    "with causal[] rows; byte-identical across --jobs 1/4)"
 exit $status

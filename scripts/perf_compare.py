@@ -42,35 +42,6 @@ def fmt_eps(eps):
     return f"{eps / 1e6:8.2f} Mev/s"
 
 
-def kernel_summary(doc):
-    """One-line parallel-kernel utilization summary (v3), or None.
-
-    Aggregates the per-cell per-worker busy/drain/wait breakdown into
-    whole-artifact percentages — the quickest read on whether workers
-    computed or sat at the conservative barrier.
-    """
-    threads = doc.get("config", {}).get("threads", 0)
-    if not threads:
-        return None
-    busy = drain = wait = 0.0
-    windows = 0
-    domains = 0
-    for c in doc.get("cells", []):
-        windows += c.get("windows", 0)
-        domains = max(domains, c.get("timing_domains", 0))
-        for w in c.get("workers", []):
-            busy += w.get("busy_ms", 0.0)
-            drain += w.get("drain_ms", 0.0)
-            wait += w.get("wait_ms", 0.0)
-    total = busy + drain + wait
-    if total <= 0:
-        return (f"parallel kernel: threads={threads}, "
-                f"domains={domains}, windows={windows}")
-    return (f"parallel kernel: threads={threads}, domains={domains}, "
-            f"windows={windows}, worker time busy {busy / total:.0%} / "
-            f"drain {drain / total:.0%} / wait {wait / total:.0%}")
-
-
 def main():
     ap = argparse.ArgumentParser(
         description="Compare two cbsim host-perf artifacts.")
@@ -93,10 +64,9 @@ def main():
             detail = ("events/sec denominators differ (v1 times the "
                       "full experiment, v2 the event loop) so ratios "
                       "are not comparable")
-        elif {bv, av} == {2, 3}:
-            detail = ("v3 adds the parallel event kernel fields "
-                      "(config.threads, per-cell timing_domains/windows/"
-                      "workers, docs/PERF.md); events/sec denominators "
+        elif {bv, av} <= {2, 3, 4}:
+            detail = ("v3 added and v4 removed the sharded-kernel "
+                      "fields (docs/PERF.md); events/sec denominators "
                       "are unchanged, so ratios stay comparable")
         else:
             detail = ("field meanings may differ between versions; "
@@ -157,16 +127,13 @@ def main():
               f"{ta['sim_ms']:.0f} ms")
     print(f"wall: {tb['wall_ms']:.0f} ms -> {ta['wall_ms']:.0f} ms")
 
-    b_threads = before.get("config", {}).get("threads", 0)
-    a_threads = after.get("config", {}).get("threads", 0)
-    if b_threads != a_threads:
-        print(f"note: kernels differ (before threads={b_threads}, "
-              f"after threads={a_threads}); this comparison measures "
-              "the kernel change itself", file=sys.stderr)
     for label, doc in (("before", before), ("after", after)):
-        summary = kernel_summary(doc)
-        if summary:
-            print(f"{label} {summary}")
+        threads = doc.get("config", {}).get("threads", 0)
+        if threads:
+            print(f"note: {label} is a v3 artifact from the deleted "
+                  f"sharded kernel (--threads {threads}); its event "
+                  "counts are not the single queue's",
+                  file=sys.stderr)
 
     if drift:
         print("note: event counts drifted; speedup numbers compare "

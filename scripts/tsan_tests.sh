@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
-# Build and run the parallel-kernel test surface under ThreadSanitizer,
-# as a ctest entry (tsan_parallel_kernel, label tsan).
+# Build and run the sweep worker-pool test surface under
+# ThreadSanitizer, as a ctest entry (tsan_sweep_runner, label tsan).
 #
-# The sharded PDES kernel (src/sim/domains.cc) synchronizes workers
-# with one std::barrier and claims every shared field is either
-# confined to one worker's domains or published by the barrier's
-# release sequencing. TSan checks that claim mechanically: it runs the
-# timing-domain unit/property tests (multiple worker counts over
-# randomized cross-domain event streams), the worker-count-invariance
-# observability test, and the whole-chip parallel determinism tier,
-# and fails on any data race the happens-before graph does not cover.
+# The simulator itself is single-threaded; the only host concurrency is
+# the SweepRunner pool behind --jobs, where worker threads run separate
+# chips and share the job queue, the outcome table, the journal, the
+# process-wide debug defaults and the lazily built harness fault plan.
+# TSan checks that sharing mechanically: it runs all of harness_test
+# (the pool, retries, budgets, quarantine) and the observability tests
+# that run multi-worker sweeps, and fails on any data race the
+# happens-before graph does not cover.
 #
 # Uses its own nested build tree (like sanitize_tests.sh) so the TSan
 # flags never leak into the primary build; the tree is reused
@@ -42,7 +42,7 @@ cmake -S "$src" -B "$bld" \
     exit 1
 }
 cmake --build "$bld" \
-      --target sim_test obs_test integration_test harness_test \
+      --target obs_test harness_test \
       > "$bld.build.log" 2>&1 || {
     echo "tsan_tests: build failed; see $bld.build.log" >&2
     tail -n 40 "$bld.build.log" >&2
@@ -53,14 +53,8 @@ TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}
 export TSAN_OPTIONS
 
 status=0
-echo "tsan_tests: running sim_test (timing-domain unit + property)"
-"$bld/tests/sim_test" \
-    --gtest_filter='TimingDomains*:DomainMap*:EventQueue*' || status=1
-echo "tsan_tests: running obs_test (worker-count invariance)"
-"$bld/tests/obs_test" --gtest_filter='ObsInteraction.*' || status=1
-echo "tsan_tests: running integration_test (parallel determinism)"
-"$bld/tests/integration_test" \
-    --gtest_filter='ParallelDeterminism.*' || status=1
+echo "tsan_tests: running obs_test (multi-worker sweeps)"
+"$bld/tests/obs_test" --gtest_filter='ObsInteraction.*:CausalDeterminism.*:GoldenTrace.*:AttributionDeterminism.*' || status=1
 echo "tsan_tests: running harness_test (sweep worker pool)"
 "$bld/tests/harness_test" || status=1
 exit $status

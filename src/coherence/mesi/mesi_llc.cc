@@ -81,7 +81,7 @@ MesiLlcBank::ensurePresent(const Message& msg)
     // Miss: lock the line, fetch from memory, then replay.
     locks_.lock(line_addr);
     fills_.inc();
-    memory_.read(static_cast<NodeId>(bank_), line_addr,
+    memory_.read(line_addr,
                  [this, msg, line_addr] { fillLine(msg, line_addr); });
     return nullptr;
 }
@@ -110,7 +110,7 @@ MesiLlcBank::fillLine(const Message& msg, Addr line_addr)
                         sendInv(c, victim->tag, 0, /*sync=*/false);
                 }
             }
-            memory_.write(static_cast<NodeId>(bank_), victim->tag);
+            memory_.write(victim->tag);
         }
         array_.install(*victim, line_addr);
         accesses_.inc(); // fill writes the data array

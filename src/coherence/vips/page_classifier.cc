@@ -1,9 +1,5 @@
 #include "coherence/vips/page_classifier.hh"
 
-#include <algorithm>
-
-#include "sim/log.hh"
-
 namespace cbsim {
 
 PageClassifier::PageClassifier(TransitionHook hook) : hook_(std::move(hook))
@@ -11,8 +7,9 @@ PageClassifier::PageClassifier(TransitionHook hook) : hook_(std::move(hook))
 }
 
 PageClass
-PageClassifier::update(Addr page, CoreId core)
+PageClassifier::classify(Addr addr, CoreId core)
 {
+    const Addr page = AddrLayout::pageNumber(addr);
     auto [it, inserted] = pages_.emplace(page, PageInfo{});
     PageInfo& info = it->second;
     if (inserted) {
@@ -32,93 +29,6 @@ PageClassifier::update(Addr page, CoreId core)
     if (hook_)
         hook_(prev, page * AddrLayout::pageBytes);
     return PageClass::Shared;
-}
-
-PageClass
-PageClassifier::classify(Addr addr, CoreId core, Tick now)
-{
-    const Addr page = AddrLayout::pageNumber(addr);
-    if (!windowed())
-        return update(page, core);
-
-    // Windowed: the committed table is read-only during a window; answer
-    // from it plus this domain's overlay, logging would-be mutations for
-    // the barrier-time canonical replay.
-    CBSIM_ASSERT(core < coreDomain_.size(), "classify: core out of range");
-    DomainState& dom = domains_[coreDomain_[core]];
-
-    const PageInfo* info = nullptr;
-    if (auto ov = dom.overlay.find(page); ov != dom.overlay.end()) {
-        info = &ov->second;
-    } else if (auto it = pages_.find(page); it != pages_.end()) {
-        info = &it->second;
-    }
-
-    if (info == nullptr) {
-        // First touch from this domain's point of view.
-        dom.overlay.emplace(page, PageInfo{false, core});
-        dom.log.push_back({now, core, page, PageClass::Private});
-        return PageClass::Private;
-    }
-    if (info->shared)
-        return PageClass::Shared;
-    if (info->owner == core)
-        return PageClass::Private;
-    // Would-be promotion: record it, but defer the table write and the
-    // previous-owner flush (possibly cross-domain) to applyWindow().
-    dom.overlay[page] = PageInfo{true, invalidCore};
-    dom.log.push_back({now, core, page, PageClass::Shared});
-    return PageClass::Shared;
-}
-
-void
-PageClassifier::enableWindowed(unsigned domains,
-                               std::vector<unsigned> coreDomain)
-{
-    CBSIM_ASSERT(domains > 0, "enableWindowed: no domains");
-    for (unsigned d : coreDomain)
-        CBSIM_ASSERT(d < domains, "enableWindowed: bad core domain");
-    domains_ = std::vector<DomainState>(domains);
-    coreDomain_ = std::move(coreDomain);
-}
-
-void
-PageClassifier::applyWindow()
-{
-    if (!windowed())
-        return;
-    merged_.clear();
-    for (DomainState& dom : domains_) {
-        merged_.insert(merged_.end(), dom.log.begin(), dom.log.end());
-        dom.log.clear();
-        dom.overlay.clear();
-    }
-    if (merged_.empty())
-        return;
-    // Canonical order: tick, then core id. Per-domain logs are already
-    // deterministic, so the stable sort makes the merge independent of
-    // worker count and domain interleaving.
-    std::stable_sort(merged_.begin(), merged_.end(),
-                     [](const WindowLog& a, const WindowLog& b) {
-                         return a.when != b.when ? a.when < b.when
-                                                 : a.core < b.core;
-                     });
-    std::vector<std::pair<CoreId, Addr>> corrective;
-    for (const WindowLog& e : merged_) {
-        const PageClass canon = update(e.page, e.core);
-        if (e.answered == PageClass::Private && canon == PageClass::Shared) {
-            // The core was told Private but canonically lost the race:
-            // flush its (wrongly private-marked) lines of the page.
-            corrective.emplace_back(e.core, e.page);
-        }
-    }
-    std::sort(corrective.begin(), corrective.end());
-    corrective.erase(std::unique(corrective.begin(), corrective.end()),
-                     corrective.end());
-    if (hook_) {
-        for (const auto& [core, page] : corrective)
-            hook_(core, page * AddrLayout::pageBytes);
-    }
 }
 
 PageClass

@@ -7,18 +7,6 @@
  * permanently promotes the page to Shared and the previous owner is
  * notified so it can flush/invalidate its cached lines of that page.
  * Private pages are excluded from self-invalidation.
- *
- * Parallel kernel (windowed mode): the table is chip-wide, so two timing
- * domains may first-touch the same page inside one lookahead window. To
- * keep classification deterministic we answer from a per-domain overlay
- * during the window and log every would-be mutation; at the inter-window
- * barrier applyWindow() replays the merged log in canonical (tick, core)
- * order against the committed table. A core that was answered Private
- * but canonically lost the race gets a corrective flush through the
- * transition hook — the same mechanism an ordinary promotion uses — so
- * no stale private-marked lines survive. The conservative direction
- * (answered Shared where the canonical class is Private) needs no
- * correction: shared-marked lines self-invalidate anyway.
  */
 
 #ifndef CBSIM_COHERENCE_VIPS_PAGE_CLASSIFIER_HH
@@ -26,7 +14,6 @@
 
 #include <functional>
 #include <unordered_map>
-#include <vector>
 
 #include "mem/addr.hh"
 #include "sim/types.hh"
@@ -56,12 +43,8 @@ class PageClassifier
 
     void setTransitionHook(TransitionHook hook) { hook_ = std::move(hook); }
 
-    /**
-     * Classify an access by @p core to @p addr at tick @p now, updating
-     * the table (classic mode) or the caller's domain overlay (windowed
-     * mode; @p now keys the barrier-time canonical replay).
-     */
-    PageClass classify(Addr addr, CoreId core, Tick now = 0);
+    /** Classify an access by @p core to @p addr, updating the table. */
+    PageClass classify(Addr addr, CoreId core);
 
     /** Current class without updating (unknown pages read as Private). */
     PageClass peek(Addr addr) const;
@@ -70,9 +53,7 @@ class PageClassifier
      * Owner of @p addr's page if it is classified Private to a core;
      * invalidCore for Shared or never-touched pages. The invariant
      * checker uses this to assert no L1 caches a private-marked line
-     * of a page owned by someone else. Windowed mode: reflects the
-     * committed table, so only meaningful at barriers after
-     * applyWindow().
+     * of a page owned by someone else.
      */
     CoreId
     privateOwner(Addr addr) const
@@ -83,22 +64,6 @@ class PageClassifier
         return it->second.owner;
     }
 
-    /**
-     * Switch to windowed (parallel-kernel) mode: @p coreDomain maps each
-     * core to its timing domain; classify() then answers from that
-     * domain's overlay and applyWindow() must run at every barrier.
-     */
-    void enableWindowed(unsigned domains,
-                        std::vector<unsigned> coreDomain);
-
-    /**
-     * Barrier-time commit: replay this window's logged mutations in
-     * (tick, core) order against the committed table, firing promotion
-     * hooks and corrective flushes, then reset the overlays. Runs
-     * single-threaded under the inter-window barrier.
-     */
-    void applyWindow();
-
     void registerStats(const StatsScope& scope);
 
   private:
@@ -108,31 +73,8 @@ class PageClassifier
         CoreId owner = invalidCore;
     };
 
-    /** One would-be table mutation observed during a window. */
-    struct WindowLog
-    {
-        Tick when;
-        CoreId core;
-        Addr page; ///< page number
-        PageClass answered;
-    };
-
-    struct alignas(64) DomainState
-    {
-        std::unordered_map<Addr, PageInfo> overlay;
-        std::vector<WindowLog> log;
-    };
-
-    bool windowed() const { return !domains_.empty(); }
-
-    /** Classic first-touch update of the committed table. */
-    PageClass update(Addr page, CoreId core);
-
     TransitionHook hook_;
     std::unordered_map<Addr, PageInfo> pages_;
-    std::vector<DomainState> domains_; ///< empty = classic mode
-    std::vector<unsigned> coreDomain_;
-    std::vector<WindowLog> merged_; ///< applyWindow scratch
     Counter privatePages_;
     Counter transitions_;
 };

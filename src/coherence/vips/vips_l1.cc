@@ -226,8 +226,7 @@ VipsL1::handleMessage(const Message& msg)
         array_.install(*victim, msg.addr);
         accesses_.inc(); // fill write
         victim->state.privatePage =
-            classifier_.classify(msg.addr, core_, eq_.now()) ==
-            PageClass::Private;
+            classifier_.classify(msg.addr, core_) == PageClass::Private;
 
         Word result = 0;
         if (p.req.op == MemOp::Load) {

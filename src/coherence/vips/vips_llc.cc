@@ -81,7 +81,7 @@ VipsLlcBank::ensurePresent(const Message& msg)
     }
     locks_.lock(line_addr);
     fills_.inc();
-    memory_.read(static_cast<NodeId>(bank_), line_addr,
+    memory_.read(line_addr,
                  [this, msg, line_addr] { fillLine(msg, line_addr); });
     return false;
 }
@@ -96,7 +96,7 @@ VipsLlcBank::fillLine(const Message& msg, Addr line_addr)
         return;
     }
     if (victim->valid)
-        memory_.write(static_cast<NodeId>(bank_), victim->tag); // writeback (write-through LLC: clean)
+        memory_.write(victim->tag); // writeback (write-through LLC: clean)
     array_.install(*victim, line_addr);
     accesses_.inc();
     auto deferred = locks_.unlock(line_addr);
@@ -192,7 +192,7 @@ VipsLlcBank::handleGetCB(const Message& msg)
             causal_->recordPark(msg.addr, msg.requester, eq_.now());
         if (trace_ != nullptr) {
             trace_->park(bank_, msg.requester, eq_.now());
-            trace_->linePark(bank_, msg.addr, msg.requester, eq_.now());
+            trace_->linePark(msg.addr, msg.requester, eq_.now());
         }
         return; // no LLC access, no response until a write wakes us
     }
@@ -231,7 +231,7 @@ VipsLlcBank::handleAtomic(const Message& msg)
                 causal_->recordPark(msg.addr, msg.requester, eq_.now());
             if (trace_ != nullptr) {
                 trace_->park(bank_, msg.requester, eq_.now());
-                trace_->linePark(bank_, msg.addr, msg.requester, eq_.now());
+                trace_->linePark(msg.addr, msg.requester, eq_.now());
             }
             return; // the whole RMW is held off in the callback directory
         }
@@ -298,14 +298,13 @@ VipsLlcBank::processWakes(Addr word, const std::vector<CoreId>& initial,
         if (causal_ != nullptr) {
             causal_->recordWake(word, c, eq_.now(), evicted);
             // Flow arrow releaser→directory→waiter: emitted entirely
-            // bank-side (one domain), so the three events land in one
-            // buffer in a deterministic order.
+            // bank-side, so the three events land back to back.
             if (trace_ != nullptr && releaser != invalidCore)
                 trace_->wakeFlow(bank_, word, releaser, c, eq_.now());
         }
         if (trace_ != nullptr) {
             trace_->wake(bank_, c, eq_.now(), evicted);
-            trace_->lineWake(bank_, word, c, eq_.now());
+            trace_->lineWake(word, c, eq_.now());
         }
         CBSIM_TRACE(TraceCategory::CbDir, eq_.now(), word,
                     "bank " << bank_ << " wake core " << c << " word=0x"

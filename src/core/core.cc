@@ -19,17 +19,6 @@ SyncStats::registerStats(const StatsScope& scope)
     }
 }
 
-void
-SyncStats::mergeFrom(SyncStats& other)
-{
-    for (std::size_t k = 0; k < numKinds; ++k) {
-        latency[k].merge(other.latency[k]);
-        other.latency[k].reset();
-        completions[k].inc(other.completions[k].value());
-        other.completions[k].reset();
-    }
-}
-
 Core::Core(CoreId id, EventQueue& eq, L1Controller& l1,
            const BackoffConfig& backoff, SyncStats& sync_stats,
            std::function<void()> on_done)

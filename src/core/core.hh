@@ -36,14 +36,6 @@ struct SyncStats
     std::array<Counter, numKinds> completions;
 
     void registerStats(const StatsScope& scope);
-
-    /**
-     * Fold @p other into this and reset it (parallel kernel: each
-     * timing domain records into its own shard; the registered shard 0
-     * absorbs the rest at fold points). Merges are commutative, so the
-     * result is independent of domain count and worker interleaving.
-     */
-    void mergeFrom(SyncStats& other);
 };
 
 /** A single in-order core executing a mini-ISA program. */

@@ -13,18 +13,12 @@
  * Slot-based: onInject returns a slot id the mesh threads through its
  * hop closures; entries are recycled via a free list so steady state
  * allocates nothing.
- *
- * All methods serialize under a mutex: the mesh calls them from
- * whichever timing-domain worker executes the hop, and onInject can
- * reallocate the entry table. Tracking is a debug facility, so the
- * contention cost is acceptable and unobservable in results.
  */
 
 #ifndef CBSIM_DEBUG_NOC_TRACKER_HH
 #define CBSIM_DEBUG_NOC_TRACKER_HH
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "noc/message.hh"
@@ -39,7 +33,6 @@ class NocTracker
     std::uint32_t
     onInject(const Message& msg, Tick now)
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
         std::uint32_t slot;
         if (free_.empty()) {
             slot = static_cast<std::uint32_t>(entries_.size());
@@ -60,14 +53,12 @@ class NocTracker
     void
     onHop(std::uint32_t slot, NodeId at)
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
         entries_[slot].at = at;
     }
 
     void
     onDeliver(std::uint32_t slot)
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
         CBSIM_ASSERT(entries_[slot].live,
                      "NocTracker: double delivery of slot ", slot);
         entries_[slot].live = false;
@@ -75,19 +66,13 @@ class NocTracker
         --inFlight_;
     }
 
-    std::size_t
-    inFlight() const
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        return inFlight_;
-    }
+    std::size_t inFlight() const { return inFlight_; }
 
     /** Visit every undelivered message: fn(msg, currentNode, injectedAt). */
     template <typename Fn>
     void
     forEachInFlight(Fn&& fn) const
     {
-        const std::lock_guard<std::mutex> lock(mutex_);
         for (const Entry& e : entries_) {
             if (e.live)
                 fn(e.msg, e.at, e.injectedAt);
@@ -103,7 +88,6 @@ class NocTracker
         bool live = false;
     };
 
-    mutable std::mutex mutex_;
     std::vector<Entry> entries_;
     std::vector<std::uint32_t> free_;
     std::size_t inFlight_ = 0;

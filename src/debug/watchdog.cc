@@ -5,26 +5,21 @@
 namespace cbsim {
 
 void
-Watchdog::checkWall(Tick now) const
+Watchdog::poll()
 {
-    if (cfg_.wallTimeoutS <= 0.0)
-        return;
-    const double elapsed = std::chrono::duration<double>(
-                               std::chrono::steady_clock::now() -
-                               startWall_)
-                               .count();
-    if (elapsed > cfg_.wallTimeoutS) {
-        throw TimeoutError(detail::format(
-            "watchdog: run '", cfg_.label, "' exceeded wall-clock "
-            "budget of ", cfg_.wallTimeoutS, " s (", elapsed,
-            " s elapsed at tick ", now, ")"));
+    const Tick now = eq_.now();
+    if (cfg_.wallTimeoutS > 0.0) {
+        const double elapsed = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() -
+                                   startWall_)
+                                   .count();
+        if (elapsed > cfg_.wallTimeoutS) {
+            throw TimeoutError(detail::format(
+                "watchdog: run '", cfg_.label, "' exceeded wall-clock "
+                "budget of ", cfg_.wallTimeoutS, " s (", elapsed,
+                " s elapsed at tick ", now, ")"));
+        }
     }
-}
-
-void
-Watchdog::pollAt(Tick now)
-{
-    checkWall(now);
 
     if (cfg_.noProgressWindow != 0 && hooks_.progressCounter) {
         const std::uint64_t cur = hooks_.progressCounter();
@@ -41,12 +36,6 @@ Watchdog::pollAt(Tick now)
 
     if (hooks_.checkInvariants)
         hooks_.checkInvariants();
-}
-
-void
-Watchdog::poll()
-{
-    pollAt(eq_.now());
 }
 
 } // namespace cbsim

@@ -67,35 +67,6 @@ class Watchdog
     /** One poll pass; public so tests can drive it directly. */
     void poll();
 
-    /**
-     * Parallel-kernel arming: initialize the baselines without
-     * installing a queue hook. The chip then calls checkWall() from
-     * per-domain poll hooks (any worker thread) and pollAt() from the
-     * single-threaded inter-window barrier.
-     */
-    void
-    installParallel()
-    {
-        if (!cfg_.wantsPolling())
-            return;
-        startWall_ = std::chrono::steady_clock::now();
-        lastProgressTick_ = 0;
-        if (hooks_.progressCounter)
-            lastProgress_ = hooks_.progressCounter();
-    }
-
-    /**
-     * Wall-clock budget check only. Thread-safe: reads configuration
-     * and the start timestamp, both fixed before workers launch.
-     */
-    void checkWall(Tick now) const;
-
-    /**
-     * Full poll (no-progress window + interval invariants + wall
-     * clock) at barrier tick @p now. Single-threaded contexts only.
-     */
-    void pollAt(Tick now);
-
   private:
     EventQueue& eq_;
     DebugConfig cfg_;

@@ -206,7 +206,7 @@ constexpr const char* kRawRunFields[] = {
     "l1_accesses",     "cbdir_accesses", "flit_hops",
     "packets",         "mem_reads",      "instructions",
     "invalidations_sent", "cb_wakeups",  "cbdir_evictions",
-    "stall_cycles",    "cb_blocked_cycles", "threads",
+    "stall_cycles",    "cb_blocked_cycles",
 };
 
 void
@@ -217,7 +217,7 @@ writeRawRun(JsonWriter& w, const RunResult& r)
         r.l1Accesses,    r.cbdirAccesses, r.flitHops,
         r.packets,       r.memReads,      r.instructions,
         r.invalidationsSent, r.cbWakeups, r.cbdirEvictions,
-        r.stallCycles,   r.cbBlockedCycles, r.threads,
+        r.stallCycles,   r.cbBlockedCycles,
     };
     w.key("run");
     w.beginObject();
@@ -236,7 +236,7 @@ parseRawRun(const JsonValue& obj, RunResult& r)
         &r.l1Accesses,    &r.cbdirAccesses, &r.flitHops,
         &r.packets,       &r.memReads,      &r.instructions,
         &r.invalidationsSent, &r.cbWakeups, &r.cbdirEvictions,
-        &r.stallCycles,   &r.cbBlockedCycles, &r.threads,
+        &r.stallCycles,   &r.cbBlockedCycles,
     };
     for (std::size_t i = 0; i < std::size(kRawRunFields); ++i)
         *slots[i] = u64Field(obj, kRawRunFields[i]);
@@ -272,24 +272,6 @@ parseEnergy(const JsonValue& obj)
     return e;
 }
 
-/**
- * Kernel selector folded into the config hash: 0 = classic serial
- * kernel, else the timing-domain count the job's mesh implies. Never
- * the worker count — any --threads >= 1 maps to the same domain count,
- * so artifacts stay byte-identical across worker counts (the
- * parallel-determinism tier depends on this).
- */
-std::uint64_t
-jobTimingDomains(const SweepJob& job)
-{
-    const unsigned threads = ChipConfig::defaultThreads();
-    if (threads == 0)
-        return 0;
-    const auto side =
-        static_cast<unsigned>(std::lround(std::sqrt(job.cores)));
-    return ChipConfig::timingDomains(threads, side, side);
-}
-
 } // namespace
 
 void
@@ -298,7 +280,6 @@ writeJobConfig(JsonWriter& w, const SweepJob& job)
     w.key("config");
     w.beginObject();
     w.field("kind", jobKindName(job.kind));
-    w.field("timing_domains", jobTimingDomains(job));
     switch (job.kind) {
       case JobKind::Profile:
         w.field("workload", job.profile.name);

@@ -42,15 +42,15 @@ class ResultSink
      *     per-run "attempts" count and "quarantined" flag, and the
      *     "crashed" status for --isolate children that died without
      *     delivering a result.
-     * v6: the "threads" metric (timing-domain count of the kernel that
-     *     produced the run; 0 = classic serial kernel) and the
-     *     "timing_domains" job-config field folded into the config
-     *     hash (docs/DESIGN.md §"Parallel event kernel").
+     * v6: a kernel-selector metric and job-config field for the
+     *     since-removed parallel event kernel.
      * v7: the optional per-run "causal" array — critical-path
      *     breakdown of stall cycles into sync-episode segments
      *     (docs/OBSERVABILITY.md §Causal tracing).
+     * v8: the two v6 kernel-selector fields removed with that kernel
+     *     (docs/DESIGN.md §"Why there is one kernel").
      */
-    static constexpr unsigned kSchemaVersion = 7;
+    static constexpr unsigned kSchemaVersion = 8;
 
     explicit ResultSink(std::string bench_name);
 

@@ -15,7 +15,6 @@
 #include "harness/result_codec.hh"
 #include "harness/subprocess.hh"
 #include "sim/log.hh"
-#include "system/chip_config.hh"
 
 namespace cbsim {
 
@@ -235,13 +234,6 @@ SweepRunner::quarantine(const SweepJob& job, JobOutcome& out) const
         w.beginObject();
         w.field("key", job.key);
         writeJobConfig(w, job);
-        // The kernel selector of the failing run: the worker count the
-        // sweep was launched with (--threads / CBSIM_THREADS). The
-        // config block above already carries the derived timing-domain
-        // count; both are needed to replay a parallel-kernel failure
-        // exactly.
-        w.field("threads",
-                static_cast<std::uint64_t>(ChipConfig::defaultThreads()));
         w.field("status", jobStatusName(out.status));
         w.field("attempts", out.attempts);
         w.field("error", out.error);
@@ -263,14 +255,7 @@ SweepRunner::quarantine(const SweepJob& job, JobOutcome& out) const
     {
         std::ofstream os(dir / "rerun.txt");
         os << (rerunPrefix_.empty() ? "bench_all" : rerunPrefix_.c_str())
-           << " --only-key '" << job.key << "'";
-        // Reproduce with the same kernel: the parallel event kernel
-        // partitions the chip into timing domains, so a failure seen
-        // under --threads N may not exist under the classic kernel.
-        if (const unsigned threads = ChipConfig::defaultThreads();
-            threads > 0)
-            os << " --threads " << threads;
-        os << '\n';
+           << " --only-key '" << job.key << "'\n";
     }
     out.quarantined = true;
 }

@@ -14,30 +14,16 @@
  * node-based std::unordered_map. Nothing iterates the table, so its
  * layout has no determinism surface — only read/write/footprint are
  * observable, and those are container-independent.
- *
- * Under the parallel kernel the table is shared by all timing domains.
- * Slots are relaxed atomics (tag = word-aligned address | 1, so tag and
- * occupancy are one word) and nothing is ever deleted, so probe chains
- * only extend and a concurrent reader always finds its word or a
- * definitive empty slot. Simulated programs are DRF, so no two domains
- * touch the *same* word inside one lookahead window — the atomics exist
- * to make unrelated-word insertions into overlapping probe chains safe,
- * and slot layout (which is timing-dependent under parallelism) stays
- * unobservable. Growth would invalidate concurrent probes, so the
- * parallel kernel pre-sizes the table and defers rehashing to the
- * inter-window barriers (setDeferredGrowth/growIfNeeded).
  */
 
 #ifndef CBSIM_MEM_DATA_STORE_HH
 #define CBSIM_MEM_DATA_STORE_HH
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "mem/addr.hh"
-#include "sim/log.hh"
 #include "sim/types.hh"
 
 namespace cbsim {
@@ -55,11 +41,10 @@ class DataStore
         const Addr tag = AddrLayout::wordAlign(addr) | 1u;
         for (std::size_t i = indexOf(tag);; i = (i + 1) & mask()) {
             const Slot& s = slots_[i];
-            const Addr t = s.tag.load(std::memory_order_relaxed);
-            if (t == 0)
+            if (s.tag == 0)
                 return 0;
-            if (t == tag)
-                return s.value.load(std::memory_order_relaxed);
+            if (s.tag == tag)
+                return s.value;
         }
     }
 
@@ -68,79 +53,30 @@ class DataStore
     write(Addr addr, Word value)
     {
         const Addr tag = AddrLayout::wordAlign(addr) | 1u;
-        std::size_t probes = 0;
         for (std::size_t i = indexOf(tag);; i = (i + 1) & mask()) {
             Slot& s = slots_[i];
-            Addr t = s.tag.load(std::memory_order_relaxed);
-            if (t == tag) {
-                s.value.store(value, std::memory_order_relaxed);
+            if (s.tag == tag) {
+                s.value = value;
                 return;
             }
-            if (t == 0) {
-                // Claim the empty slot; a racing claim by another
-                // domain (necessarily for a different word) just moves
-                // us along the chain.
-                if (s.tag.compare_exchange_strong(
-                        t, tag, std::memory_order_relaxed,
-                        std::memory_order_relaxed)) {
-                    s.value.store(value, std::memory_order_relaxed);
-                    const std::size_t n =
-                        used_.fetch_add(1, std::memory_order_relaxed) + 1;
-                    if (!deferGrowth_ && n * 4 > slots_.size() * 3)
-                        rehash(slots_.size() * 2);
-                    return;
-                }
-                if (t == tag) {
-                    s.value.store(value, std::memory_order_relaxed);
-                    return;
-                }
+            if (s.tag == 0) {
+                s.tag = tag;
+                s.value = value;
+                if (++used_ * 4 > slots_.size() * 3)
+                    rehash(slots_.size() * 2);
+                return;
             }
-            if (++probes > slots_.size())
-                panic("DataStore full (deferred growth exhausted)");
         }
     }
 
     /** Number of distinct words ever written (for tests). */
-    std::size_t
-    footprintWords() const
-    {
-        return used_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Parallel kernel: stop growing inline (growth rehashes, which
-     * would break concurrent probes mid-window) and pre-size to
-     * @p minSlots (rounded up to a power of two) for headroom.
-     * growIfNeeded() must then be called between windows.
-     */
-    void
-    setDeferredGrowth(bool on, std::size_t minSlots = 0)
-    {
-        deferGrowth_ = on;
-        std::size_t n = slots_.size();
-        while (n < minSlots)
-            n *= 2;
-        if (n != slots_.size())
-            rehash(n);
-    }
-
-    /**
-     * Barrier-time growth: rehash once the table is half full, keeping
-     * at least half the capacity free for the next window's inserts.
-     * Single-threaded contexts only.
-     */
-    void
-    growIfNeeded()
-    {
-        if (used_.load(std::memory_order_relaxed) * 2 > slots_.size())
-            rehash(slots_.size() * 2);
-    }
+    std::size_t footprintWords() const { return used_; }
 
   private:
     struct Slot
     {
-        std::atomic<Addr> tag{0}; ///< word-aligned addr | 1; 0 = empty
-        std::atomic<Word> value{0};
+        Addr tag = 0; ///< word-aligned addr | 1; 0 = empty
+        Word value = 0;
     };
 
     static constexpr std::size_t initialSlots = 1024; // power of two
@@ -162,22 +98,17 @@ class DataStore
         std::vector<Slot> old = std::move(slots_);
         slots_ = std::vector<Slot>(n);
         for (const Slot& s : old) {
-            const Addr t = s.tag.load(std::memory_order_relaxed);
-            if (t == 0)
+            if (s.tag == 0)
                 continue;
-            std::size_t i = indexOf(t);
-            while (slots_[i].tag.load(std::memory_order_relaxed) != 0)
+            std::size_t i = indexOf(s.tag);
+            while (slots_[i].tag != 0)
                 i = (i + 1) & mask();
-            slots_[i].tag.store(t, std::memory_order_relaxed);
-            slots_[i].value.store(
-                s.value.load(std::memory_order_relaxed),
-                std::memory_order_relaxed);
+            slots_[i] = s;
         }
     }
 
     std::vector<Slot> slots_;
-    std::atomic<std::size_t> used_{0};
-    bool deferGrowth_ = false;
+    std::size_t used_ = 0;
 };
 
 } // namespace cbsim

@@ -2,31 +2,12 @@
 
 namespace cbsim {
 
-MemoryModel::MemoryModel(TimingDomains& domains, Tick latency,
+MemoryModel::MemoryModel(EventQueue& eq, Tick latency,
                          const StatsScope& scope)
-    : doms_(domains), latency_(latency), shards_(domains.count())
+    : eq_(eq), latency_(latency)
 {
-    scope.add("reads", shards_[0].reads);
-    scope.add("writes", shards_[0].writes);
-}
-
-void
-MemoryModel::write(NodeId at, Addr addr)
-{
-    (void)addr;
-    shards_[doms_.domainOf(at)].writes.inc();
-}
-
-void
-MemoryModel::foldShards()
-{
-    Shard& s0 = shards_[0];
-    for (std::size_t d = 1; d < shards_.size(); ++d) {
-        s0.reads.inc(shards_[d].reads.value());
-        shards_[d].reads.reset();
-        s0.writes.inc(shards_[d].writes.value());
-        shards_[d].writes.reset();
-    }
+    scope.add("reads", reads_);
+    scope.add("writes", writes_);
 }
 
 } // namespace cbsim

@@ -5,21 +5,15 @@
  * The paper's Table 2 specifies a flat 160-cycle memory access time; the
  * evaluation metrics (LLC accesses, network traffic, sync latency) do not
  * depend on DRAM microarchitecture, so a fixed-latency model is faithful.
- *
- * Accesses are issued by LLC banks; completions are scheduled on the
- * issuing bank's timing domain (the model has no cross-bank state), so
- * under the parallel kernel memory behaves like a per-domain resource
- * and needs no synchronization beyond the sharded counters.
  */
 
 #ifndef CBSIM_MEM_MEMORY_MODEL_HH
 #define CBSIM_MEM_MEMORY_MODEL_HH
 
-#include <functional>
-#include <vector>
+#include <utility>
 
 #include "obs/registry.hh"
-#include "sim/domains.hh"
+#include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
 namespace cbsim {
@@ -28,41 +22,36 @@ namespace cbsim {
 class MemoryModel
 {
   public:
-    MemoryModel(TimingDomains& domains, Tick latency,
-                const StatsScope& scope);
+    MemoryModel(EventQueue& eq, Tick latency, const StatsScope& scope);
 
     /**
-     * Issue a read of @p addr's line from the bank at node @p at;
-     * @p done fires after the latency, on @p at's timing domain.
+     * Issue a read of @p addr's line; @p done fires after the latency.
      * Templated so the completion schedules allocation-free.
      */
     template <typename F>
     void
-    read(NodeId at, Addr addr, F&& done)
+    read(Addr addr, F&& done)
     {
         (void)addr;
-        shards_[doms_.domainOf(at)].reads.inc();
-        doms_.queueOf(at).schedule(latency_, std::forward<F>(done));
+        reads_.inc();
+        eq_.schedule(latency_, std::forward<F>(done));
     }
 
-    /** Issue a (write-back) write from node @p at; fire-and-forget. */
-    void write(NodeId at, Addr addr);
+    /** Issue a (write-back) write; fire-and-forget. */
+    void
+    write(Addr addr)
+    {
+        (void)addr;
+        writes_.inc();
+    }
 
     Tick latency() const { return latency_; }
 
-    /** Fold per-domain counter shards into the registered shard 0. */
-    void foldShards();
-
   private:
-    struct alignas(64) Shard
-    {
-        Counter reads;
-        Counter writes;
-    };
-
-    TimingDomains& doms_;
+    EventQueue& eq_;
     Tick latency_;
-    std::vector<Shard> shards_; ///< one per timing domain
+    Counter reads_;
+    Counter writes_;
 };
 
 } // namespace cbsim

@@ -11,46 +11,22 @@
 
 namespace cbsim {
 
-Mesh::Mesh(TimingDomains& domains, const NocConfig& cfg,
-           const StatsScope& scope)
-    : doms_(domains), cfg_(cfg),
+Mesh::Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope)
+    : eq_(eq), cfg_(cfg),
       widthPow2_(std::has_single_bit(cfg.width)),
       widthShift_(static_cast<unsigned>(std::countr_zero(cfg.width))),
       routers_(cfg.nodes()), coreHandlers_(cfg.nodes()),
-      bankHandlers_(cfg.nodes()), shards_(domains.count())
+      bankHandlers_(cfg.nodes())
 {
     if (cfg_.width == 0 || cfg_.height == 0)
         fatal("mesh dimensions must be non-zero");
-    Shard& s0 = shards_[0];
-    scope.add("packets", s0.packets);
-    scope.add("flit_hops", s0.flitHops);
-    scope.add("local_deliveries", s0.localDeliveries);
+    scope.add("packets", packets_);
+    scope.add("flit_hops", flitHops_);
+    scope.add("local_deliveries", localDeliveries_);
     const StatsScope byType = scope.scope("packets");
-    for (std::size_t t = 0; t < s0.packetsByType.size(); ++t)
-        byType.add(msgTypeName(static_cast<MsgType>(t)),
-                   s0.packetsByType[t]);
-    scope.add("hop_distance", s0.hopDistance);
-}
-
-void
-Mesh::foldShards()
-{
-    Shard& s0 = shards_[0];
-    for (std::size_t d = 1; d < shards_.size(); ++d) {
-        Shard& s = shards_[d];
-        s0.packets.inc(s.packets.value());
-        s.packets.reset();
-        s0.flitHops.inc(s.flitHops.value());
-        s.flitHops.reset();
-        s0.localDeliveries.inc(s.localDeliveries.value());
-        s.localDeliveries.reset();
-        for (std::size_t t = 0; t < s0.packetsByType.size(); ++t) {
-            s0.packetsByType[t].inc(s.packetsByType[t].value());
-            s.packetsByType[t].reset();
-        }
-        s0.hopDistance.merge(s.hopDistance);
-        s.hopDistance.reset();
-    }
+    for (std::size_t t = 0; t < packetsByType_.size(); ++t)
+        byType.add(msgTypeName(static_cast<MsgType>(t)), packetsByType_[t]);
+    scope.add("hop_distance", hopDistance_);
 }
 
 void
@@ -103,14 +79,11 @@ Mesh::send(Message msg)
 {
     CBSIM_ASSERT(msg.src < cfg_.nodes() && msg.dst < cfg_.nodes(),
                  "send: node out of range");
-    // send() executes in the source node's domain (the injecting
-    // component lives there), so the source shard is ours to touch.
-    Shard& sh = shardOf(msg.src);
-    sh.packets.inc();
-    sh.packetsByType[static_cast<std::size_t>(msg.type)].inc();
+    packets_.inc();
+    packetsByType_[static_cast<std::size_t>(msg.type)].inc();
     if (causal_ != nullptr)
         recordCausalTraffic(msg);
-    CBSIM_TRACE(TraceCategory::Noc, doms_.queueOf(msg.src).now(), msg.addr,
+    CBSIM_TRACE(TraceCategory::Noc, eq_.now(), msg.addr,
                 "inject " << msg.toString());
 
     if (tracker_ != nullptr || faults_ != nullptr) {
@@ -118,16 +91,15 @@ Mesh::send(Message msg)
         return;
     }
     if (msg.src == msg.dst) {
-        // Same-node core<->bank traffic never enters the network (and
-        // never leaves the domain).
-        sh.localDeliveries.inc();
-        doms_.queueOf(msg.src).schedule(
-            cfg_.localLatency, [this, msg = std::move(msg)] { deliver(msg); });
+        // Same-node core<->bank traffic never enters the network.
+        localDeliveries_.inc();
+        eq_.schedule(cfg_.localLatency,
+                     [this, msg = std::move(msg)] { deliver(msg); });
         return;
     }
     const unsigned flits =
         msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
-    sh.hopDistance.sample(hopCount(msg.src, msg.dst));
+    hopDistance_.sample(hopCount(msg.src, msg.dst));
     const NodeId src = msg.src;
     hop(std::move(msg), src, flits);
 }
@@ -135,26 +107,20 @@ Mesh::send(Message msg)
 void
 Mesh::hop(Message msg, NodeId at, unsigned flits)
 {
-    // Runs in node `at`'s domain; the hop to `next` is the domain
-    // handoff point when the route crosses a quadrant boundary. Its
-    // delay is >= switchLatency, the PDES lookahead.
-    EventQueue& q = doms_.queueOf(at);
     auto [next, dir] = nextHop(at, msg.dst);
-    const Tick start = routers_[at].reserve(dir, q.now(), flits);
-    shardOf(at).flitHops.inc(flits);
-    const Tick wait = start - q.now();
+    const Tick start = routers_[at].reserve(dir, eq_.now(), flits);
+    flitHops_.inc(flits);
+    const Tick wait = start - eq_.now();
 
     if (next == msg.dst) {
         // Final hop: account tail serialization on delivery.
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency + (flits - 1),
-            [this, msg = std::move(msg)] { deliver(msg); });
+        eq_.schedule(wait + cfg_.switchLatency + (flits - 1),
+                     [this, msg = std::move(msg)] { deliver(msg); });
     } else {
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency,
-            [this, msg = std::move(msg), next, flits]() mutable {
-                hop(std::move(msg), next, flits);
-            });
+        eq_.schedule(wait + cfg_.switchLatency,
+                     [this, msg = std::move(msg), next, flits]() mutable {
+                         hop(std::move(msg), next, flits);
+                     });
     }
 }
 
@@ -164,15 +130,13 @@ Mesh::sendDebug(Message msg)
     // Mirrors send()'s tail, threading a tracker slot through every hop
     // closure and front-loading any injected fault delay. Lives off the
     // hot path so the untracked send() stays unchanged.
-    EventQueue& q = doms_.queueOf(msg.src);
     const std::uint32_t slot =
-        tracker_ != nullptr ? tracker_->onInject(msg, q.now()) : 0;
+        tracker_ != nullptr ? tracker_->onInject(msg, eq_.now()) : 0;
     const Tick extra = faults_ != nullptr ? faults_->nocDelay() : 0;
-    Shard& sh = shardOf(msg.src);
 
     if (msg.src == msg.dst) {
-        sh.localDeliveries.inc();
-        q.schedule(cfg_.localLatency + extra,
+        localDeliveries_.inc();
+        eq_.schedule(cfg_.localLatency + extra,
                    [this, msg = std::move(msg), slot] {
                        if (tracker_ != nullptr)
                            tracker_->onDeliver(slot);
@@ -182,12 +146,12 @@ Mesh::sendDebug(Message msg)
     }
     const unsigned flits =
         msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
-    sh.hopDistance.sample(hopCount(msg.src, msg.dst));
+    hopDistance_.sample(hopCount(msg.src, msg.dst));
     const NodeId src = msg.src;
     if (extra == 0) {
         hopDebug(std::move(msg), src, flits, slot);
     } else {
-        q.schedule(extra,
+        eq_.schedule(extra,
                    [this, msg = std::move(msg), src, flits,
                     slot]() mutable {
                        hopDebug(std::move(msg), src, flits, slot);
@@ -200,26 +164,24 @@ Mesh::hopDebug(Message msg, NodeId at, unsigned flits, std::uint32_t slot)
 {
     if (tracker_ != nullptr)
         tracker_->onHop(slot, at);
-    EventQueue& q = doms_.queueOf(at);
     auto [next, dir] = nextHop(at, msg.dst);
-    const Tick start = routers_[at].reserve(dir, q.now(), flits);
-    shardOf(at).flitHops.inc(flits);
-    const Tick wait = start - q.now();
+    const Tick start = routers_[at].reserve(dir, eq_.now(), flits);
+    flitHops_.inc(flits);
+    const Tick wait = start - eq_.now();
 
     if (next == msg.dst) {
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency + (flits - 1),
-            [this, msg = std::move(msg), slot] {
-                if (tracker_ != nullptr)
-                    tracker_->onDeliver(slot);
-                deliver(msg);
-            });
+        eq_.schedule(wait + cfg_.switchLatency + (flits - 1),
+                     [this, msg = std::move(msg), slot] {
+                         if (tracker_ != nullptr)
+                             tracker_->onDeliver(slot);
+                         deliver(msg);
+                     });
     } else {
-        doms_.scheduleFromTo(
-            at, next, wait + cfg_.switchLatency,
-            [this, msg = std::move(msg), next, flits, slot]() mutable {
-                hopDebug(std::move(msg), next, flits, slot);
-            });
+        eq_.schedule(wait + cfg_.switchLatency,
+                     [this, msg = std::move(msg), next, flits,
+                      slot]() mutable {
+                         hopDebug(std::move(msg), next, flits, slot);
+                     });
     }
 }
 
@@ -240,11 +202,10 @@ void
 Mesh::recordCausalTraffic(const Message& msg)
 {
     // Classify at injection: the whole route's flit×hop cost belongs to
-    // one causal segment, and every later hop of this message executes
-    // in other domains whose shards we must not touch. Request traffic
-    // is everything a waiter sends toward the directory on the sync
-    // path; wake traffic is what travels back to break the wait
-    // (callback wake-ups, sync-store invalidations).
+    // one causal segment. Request traffic is everything a waiter sends
+    // toward the directory on the sync path; wake traffic is what
+    // travels back to break the wait (callback wake-ups, sync-store
+    // invalidations).
     bool wake = false;
     bool request = false;
     switch (msg.type) {
@@ -279,11 +240,10 @@ Mesh::recordCausalTraffic(const Message& msg)
         hopCount(msg.src, msg.dst);
     if (traffic == 0)
         return; // local core<->bank delivery never enters the network
-    CausalShard& shard = causal_->shard(doms_.domainOf(msg.src));
     if (wake)
-        shard.addWakeHops(traffic);
+        causal_->addWakeHops(traffic);
     else
-        shard.addRequestHops(traffic);
+        causal_->addRequestHops(traffic);
 }
 
 } // namespace cbsim

@@ -18,7 +18,6 @@
 #include "noc/message.hh"
 #include "noc/router.hh"
 #include "obs/registry.hh"
-#include "sim/domains.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
@@ -26,7 +25,7 @@ namespace cbsim {
 
 class NocTracker;
 class FaultInjector;
-class CausalTracker;
+struct CausalShard;
 
 /** Static mesh parameters (paper Table 2 defaults). */
 struct NocConfig
@@ -45,19 +44,11 @@ struct NocConfig
 /** Receives messages delivered to an endpoint. */
 using MessageHandler = std::function<void(const Message&)>;
 
-/**
- * The mesh network. Scheduling goes through the chip's TimingDomains:
- * every hop executes in the domain of the node it is at, and the hop
- * that crosses a domain boundary carries the cross-domain handoff —
- * its switch-latency delay is exactly the PDES lookahead, which is
- * what makes conservative windows sound (DESIGN.md §"Parallel event
- * kernel"). With a single domain this is the serial kernel unchanged.
- */
+/** The mesh network: one event per router hop on the chip's queue. */
 class Mesh
 {
   public:
-    Mesh(TimingDomains& domains, const NocConfig& cfg,
-         const StatsScope& scope);
+    Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope);
 
     /** Attach the handler for @p port of node @p node. */
     void attach(NodeId node, Port port, MessageHandler handler);
@@ -77,21 +68,7 @@ class Mesh
     const NocConfig& config() const { return cfg_; }
 
     /** Total flit-hops so far (the traffic metric). */
-    std::uint64_t
-    flitHops() const
-    {
-        std::uint64_t sum = 0;
-        for (const Shard& s : shards_)
-            sum += s.flitHops.value();
-        return sum;
-    }
-
-    /**
-     * Fold per-domain counter shards into shard 0 (the registered
-     * one) so registry reads see chip-wide totals. Runs under the
-     * parallel barrier and at end of run; a no-op with one domain.
-     */
-    void foldShards();
+    std::uint64_t flitHops() const { return flitHops_.value(); }
 
     /**
      * Install debug hooks (either may be null). With both null — the
@@ -112,11 +89,10 @@ class Mesh
     /**
      * Enable causal sync-episode tracing: at injection, each sync/spin
      * request or wake/invalidation message charges its total flit×hop
-     * traffic to the matching causal segment (noc_request / noc_wake)
-     * in the source domain's shard. Null (default) costs one compare
-     * per injection.
+     * traffic to the matching causal segment (noc_request / noc_wake).
+     * Null (default) costs one compare per injection.
      */
-    void setCausal(CausalTracker* causal) { causal_ = causal; }
+    void setCausal(CausalShard* causal) { causal_ = causal; }
 
   private:
     // X-Y decomposition runs twice per routed hop (millions of times
@@ -150,26 +126,7 @@ class Mesh
     void hopDebug(Message msg, NodeId at, unsigned flits,
                   std::uint32_t slot);
 
-    /**
-     * Per-domain counter shard, cache-line aligned so domains never
-     * false-share. Shard 0 is registered with the stats registry;
-     * foldShards() merges the rest in (merge is commutative, so the
-     * fold is byte-identical to serial accumulation).
-     */
-    struct alignas(64) Shard
-    {
-        Counter packets;
-        Counter flitHops;
-        Counter localDeliveries;
-        std::array<Counter, static_cast<std::size_t>(MsgType::NumTypes)>
-            packetsByType;
-        /** X-Y route length of each remote packet (locality). */
-        Histogram hopDistance;
-    };
-
-    Shard& shardOf(NodeId n) { return shards_[doms_.domainOf(n)]; }
-
-    TimingDomains& doms_;
+    EventQueue& eq_;
     NocConfig cfg_;
     bool widthPow2_;      ///< mesh width is a power of two
     unsigned widthShift_; ///< log2(width), widthPow2_ only
@@ -178,12 +135,18 @@ class Mesh
     std::vector<MessageHandler> bankHandlers_;
     NocTracker* tracker_ = nullptr;
     FaultInjector* faults_ = nullptr;
-    CausalTracker* causal_ = nullptr;
+    CausalShard* causal_ = nullptr;
 
     /** Cold path of send(): classify traffic for the causal stitcher. */
     void recordCausalTraffic(const Message& msg);
 
-    std::vector<Shard> shards_; ///< one per timing domain
+    Counter packets_;
+    Counter flitHops_;
+    Counter localDeliveries_;
+    std::array<Counter, static_cast<std::size_t>(MsgType::NumTypes)>
+        packetsByType_;
+    /** X-Y route length of each remote packet (locality). */
+    Histogram hopDistance_;
 };
 
 } // namespace cbsim

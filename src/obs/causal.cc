@@ -46,24 +46,6 @@ causalSegmentName(CausalSegment seg)
     return "?";
 }
 
-void
-CausalTracker::fold()
-{
-    for (CausalShard& s : shards_) {
-        if (s.empty())
-            continue;
-        stalls_.insert(stalls_.end(), s.stalls.begin(), s.stalls.end());
-        transitions_.insert(transitions_.end(), s.transitions.begin(),
-                            s.transitions.end());
-        requestFlitHops_ += s.requestFlitHops;
-        wakeFlitHops_ += s.wakeFlitHops;
-        s.stalls.clear();
-        s.transitions.clear();
-        s.requestFlitHops = 0;
-        s.wakeFlitHops = 0;
-    }
-}
-
 namespace {
 
 /** Per-segment accumulator folded into one CausalRow at the end. */
@@ -87,12 +69,12 @@ struct SegmentAcc
 std::vector<CausalRow>
 CausalTracker::rows() const
 {
-    // Re-sort the folded records by a total order so stitching is
-    // independent of fold interleaving. A core has one outstanding
-    // memory op, so (core, issue) is unique for stalls; transition ties
-    // at (core, tick) can only come from the same shard, where
-    // stable_sort preserves the (deterministic) execution order.
-    std::vector<CausalShard::Stall> stalls = stalls_;
+    // Re-sort the records by a (core, tick) total order: the stitcher
+    // walks each core's episodes in time, while components append in
+    // dispatch order. A core has one outstanding memory op, so
+    // (core, issue) is unique for stalls; stable_sort keeps transition
+    // ties at (core, tick) in execution order.
+    std::vector<CausalShard::Stall> stalls = shard_.stalls;
     std::stable_sort(stalls.begin(), stalls.end(),
                      [](const CausalShard::Stall& a,
                         const CausalShard::Stall& b) {
@@ -100,7 +82,7 @@ CausalTracker::rows() const
                              return a.core < b.core;
                          return a.issue < b.issue;
                      });
-    std::vector<CausalShard::Transition> trans = transitions_;
+    std::vector<CausalShard::Transition> trans = shard_.transitions;
     std::stable_sort(trans.begin(), trans.end(),
                      [](const CausalShard::Transition& a,
                         const CausalShard::Transition& b) {
@@ -219,9 +201,9 @@ CausalTracker::rows() const
         r.cycles = acc[i].cycles;
         r.count = acc[i].count;
         if (s == CausalSegment::NocRequest)
-            r.flitHops = requestFlitHops_;
+            r.flitHops = shard_.requestFlitHops;
         else if (s == CausalSegment::NocWake)
-            r.flitHops = wakeFlitHops_;
+            r.flitHops = shard_.wakeFlitHops;
         r.p50 = acc[i].hist.p50();
         r.p95 = acc[i].hist.p95();
         r.p99 = acc[i].hist.p99();

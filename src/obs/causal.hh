@@ -7,8 +7,8 @@
  * The existing metrics say *how long* waiters stalled (sync
  * percentiles, park_ticks histograms); this layer says *where the time
  * went*. Instrumentation in the core resume path, all three coherence
- * protocols, and the NoC appends plain records into per-timing-domain
- * shards; after the run the tracker stitches them into an exact
+ * protocols, and the NoC appends plain records into one shard; after
+ * the run the tracker stitches them into an exact
  * partition of `stall_cycles` by segment:
  *
  *   - `noc_request`  — issue until the waiter parks (request travel +
@@ -29,15 +29,13 @@
  *                      metrics.stall_cycles (tests/obs/causal_test.cpp
  *                      asserts the reconciliation).
  *
- * Determinism contract: each shard is appended to only by the worker
- * that owns its timing domain; the fold (under the PDES window barrier
- * and once at end of run) concatenates shards in domain order, and the
+ * Determinism contract: records are appended in dispatch order, and the
  * stitcher re-sorts everything by a total order — (core, tick) works
  * because a core has one outstanding memory op — so the `causal[]`
- * rows are byte-identical across sweep `--jobs` and kernel `--threads`
- * worker counts (scripts/check_causal.sh). The hot-path cost with
- * tracing off is a single null-pointer compare per site, like
- * attribution (BENCH_pr10.json A/B-verifies ~0%).
+ * rows are a pure function of the configuration and byte-identical
+ * across sweep `--jobs` worker counts (scripts/check_causal.sh). The
+ * hot-path cost with tracing off is a single null-pointer compare per
+ * site, like attribution (BENCH_pr10.json A/B-verifies ~0%).
  */
 
 #ifndef CBSIM_OBS_CAUSAL_HH
@@ -95,13 +93,8 @@ struct CausalRow
 /** JSON field names of one causal[] row, serialization order. */
 extern const std::vector<std::string> kCausalFields;
 
-/**
- * One per-timing-domain append target. Only the worker executing the
- * owning domain's events touches it during a window; the tracker folds
- * shards under the barrier. alignas(64) keeps shards on distinct cache
- * lines.
- */
-struct alignas(64) CausalShard
+/** The append target every instrumented component writes into. */
+struct CausalShard
 {
     /** A completed core memory-stall window [issue, complete). */
     struct Stall
@@ -153,59 +146,27 @@ struct alignas(64) CausalShard
 
     void addRequestHops(std::uint64_t h) { requestFlitHops += h; }
     void addWakeHops(std::uint64_t h) { wakeFlitHops += h; }
-
-    bool
-    empty() const
-    {
-        return stalls.empty() && transitions.empty() &&
-               requestFlitHops == 0 && wakeFlitHops == 0;
-    }
 };
 
 /**
- * The run-wide tracker: owns one CausalShard per timing domain plus the
- * folded record store. Wiring mirrors AttributionTable: each component
- * holds a CausalShard* for its domain (null = off), the Chip calls
- * fold() under the PDES barrier and rows() after the run.
+ * The run-wide tracker: owns the CausalShard. Wiring mirrors
+ * AttributionTable: each component holds a CausalShard* (null = off),
+ * and the Chip calls rows() after the run.
  */
 class CausalTracker
 {
   public:
-    explicit CausalTracker(unsigned domains)
-        : shards_(domains == 0 ? 1 : domains)
-    {
-    }
-
-    unsigned domainCount() const { return shards_.size(); }
-    CausalShard& shard(unsigned d) { return shards_[d]; }
+    CausalShard& shard() { return shard_; }
 
     /**
-     * Append every shard's records to the folded store, in domain
-     * order, and clear the shards. Called under the PDES window barrier
-     * (no worker is executing) and once after the run; with the classic
-     * kernel only the final call does anything.
-     */
-    void fold();
-
-    /**
-     * Stitch the folded records into the segment partition. Safe to
-     * call once, after the last fold(); sorts records by the
-     * (core, tick) total order first so the result is independent of
-     * fold interleaving.
+     * Stitch the records into the segment partition. Sorts records by
+     * the (core, tick) total order first, so the result does not depend
+     * on the order components appended them in.
      */
     std::vector<CausalRow> rows() const;
 
-    /** Folded record counts (tests). */
-    std::size_t stallCount() const { return stalls_.size(); }
-    std::size_t transitionCount() const { return transitions_.size(); }
-
   private:
-    std::vector<CausalShard> shards_; // deque-like stability not needed;
-                                      // sized once at construction
-    std::vector<CausalShard::Stall> stalls_;
-    std::vector<CausalShard::Transition> transitions_;
-    std::uint64_t requestFlitHops_ = 0;
-    std::uint64_t wakeFlitHops_ = 0;
+    CausalShard shard_;
 };
 
 } // namespace cbsim

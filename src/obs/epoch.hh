@@ -64,32 +64,6 @@ class EpochSampler
     /** Install the boundary hook on @p eq, cutting every @p epochTicks. */
     void install(EventQueue& eq, Tick epochTicks);
 
-    /**
-     * Parallel-kernel installation: no queue hook. The chip clamps
-     * window ends to nextBoundaryAt() and calls cutUpTo() under the
-     * inter-window barrier, reproducing the classic half-open series
-     * exactly (boundaries cut after all events < b executed).
-     */
-    void
-    installParallel(Tick epochTicks)
-    {
-        every_ = epochTicks == 0 ? 1 : epochTicks;
-        next_ = every_;
-    }
-
-    /** Next uncut boundary (parallel mode; maxTick when not installed). */
-    Tick nextBoundaryAt() const { return next_; }
-
-    /** Cut every boundary <= @p now (parallel mode, barrier context). */
-    void
-    cutUpTo(Tick now)
-    {
-        while (now >= next_) {
-            onEpoch(next_);
-            next_ += every_;
-        }
-    }
-
     /** Also mirror per-epoch deltas as trace counter tracks. */
     void setTrace(TraceExporter* trace) { trace_ = trace; }
 
@@ -97,9 +71,6 @@ class EpochSampler
 
   private:
     void onEpoch(Tick boundary);
-
-    Tick every_ = 0;
-    Tick next_ = maxTick; ///< parallel mode only
 
     const StatSet& stats_;
     std::function<std::uint64_t()> blockedCores_;

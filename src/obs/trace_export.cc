@@ -35,18 +35,18 @@ writeMeta(JsonWriter& w, const char* metaName, std::uint32_t pid,
 } // namespace
 
 const char*
-TraceExporter::lineName(Buffer& buf, Addr word)
+TraceExporter::lineName(Addr word)
 {
     const Addr line = AddrLayout::lineAlign(word);
-    auto it = buf.lineNames.find(line);
-    if (it != buf.lineNames.end())
+    auto it = lineNames_.find(line);
+    if (it != lineNames_.end())
         return it->second;
     static const std::map<Addr, std::string> kNoSymbols;
-    buf.nameStore.push_back(
+    nameStore_.push_back(
         contentionSymbolFor(line, symbols_ != nullptr ? *symbols_
                                                       : kNoSymbols));
-    const char* name = buf.nameStore.back().c_str();
-    buf.lineNames.emplace(line, name);
+    const char* name = nameStore_.back().c_str();
+    lineNames_.emplace(line, name);
     return name;
 }
 
@@ -77,44 +77,39 @@ TraceExporter::writeJson(std::ostream& os) const
         writeMeta(w, "thread_name", pidCbdir, b, true,
                   "cbdir bank " + std::to_string(b));
 
-    // Domain-order concatenation: each buffer is deterministic on its
-    // own, so the concatenation is too (and with one domain this is
-    // exactly the classic single-buffer output).
-    for (const Buffer& buf : buffers_) {
-        for (const TraceEvent& ev : buf.events) {
+    for (const TraceEvent& ev : events_) {
+        w.beginObject();
+        w.field("name", ev.name);
+        w.field("ph", std::string(1, ev.ph));
+        w.field("pid", ev.pid);
+        w.field("tid", ev.tid);
+        w.field("ts", ev.ts);
+        if (ev.ph == 'X')
+            w.field("dur", ev.dur);
+        if (ev.ph == 'i')
+            w.field("s", "t"); // instant scope: thread
+        if (ev.ph == 'b' || ev.ph == 'e') {
+            // Async pair key: (cat, id, name) per the trace-event
+            // spec.
+            w.field("cat", "contention");
+            w.field("id", ev.arg);
+        }
+        if (ev.ph == 's' || ev.ph == 't' || ev.ph == 'f') {
+            // Flow triple key: (cat, id, name); the arrow head
+            // binds to the enclosing slice ("bp": "e") so it lands
+            // on the waiter's stall slice, not the next one.
+            w.field("cat", "causal-wake");
+            w.field("id", ev.arg);
+            if (ev.ph == 'f')
+                w.field("bp", "e");
+        }
+        if (ev.argName != nullptr) {
+            w.key("args");
             w.beginObject();
-            w.field("name", ev.name);
-            w.field("ph", std::string(1, ev.ph));
-            w.field("pid", ev.pid);
-            w.field("tid", ev.tid);
-            w.field("ts", ev.ts);
-            if (ev.ph == 'X')
-                w.field("dur", ev.dur);
-            if (ev.ph == 'i')
-                w.field("s", "t"); // instant scope: thread
-            if (ev.ph == 'b' || ev.ph == 'e') {
-                // Async pair key: (cat, id, name) per the trace-event
-                // spec.
-                w.field("cat", "contention");
-                w.field("id", ev.arg);
-            }
-            if (ev.ph == 's' || ev.ph == 't' || ev.ph == 'f') {
-                // Flow triple key: (cat, id, name); the arrow head
-                // binds to the enclosing slice ("bp": "e") so it lands
-                // on the waiter's stall slice, not the next one.
-                w.field("cat", "causal-wake");
-                w.field("id", ev.arg);
-                if (ev.ph == 'f')
-                    w.field("bp", "e");
-            }
-            if (ev.argName != nullptr) {
-                w.key("args");
-                w.beginObject();
-                w.field(ev.argName, ev.arg);
-                w.endObject();
-            }
+            w.field(ev.argName, ev.arg);
             w.endObject();
         }
+        w.endObject();
     }
 
     w.endArray();

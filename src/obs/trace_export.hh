@@ -16,12 +16,9 @@
  *    flit hops, packets, blocked cores) when epoch sampling is on.
  *
  * Timestamps are simulated ticks. Events are appended from inside the
- * event loop in dispatch order. Under the parallel kernel each timing
- * domain appends to its own buffer (routed by the emitting core/bank, so
- * the executing worker owns the buffer it writes); writeJson concatenates
- * the buffers in domain order. Within a configuration the export is
- * byte-identical across runs, sweep worker counts, and parallel-kernel
- * worker counts — traces diff like results artifacts do.
+ * event loop in dispatch order. Within a configuration the export is
+ * byte-identical across runs and sweep worker counts — traces diff like
+ * results artifacts do.
  */
 
 #ifndef CBSIM_OBS_TRACE_EXPORT_HH
@@ -35,7 +32,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/log.hh"
 #include "sim/types.hh"
 
 namespace cbsim {
@@ -52,29 +48,14 @@ class TraceExporter
     static constexpr std::uint32_t pidLines = 4;
 
     TraceExporter(unsigned numCores, unsigned numBanks)
-        : numCores_(numCores), numBanks_(numBanks), buffers_(1)
+        : numCores_(numCores), numBanks_(numBanks)
     {}
-
-    /**
-     * Parallel kernel: give each timing domain its own event buffer.
-     * @p coreDomain / @p bankDomain map the emitting entity to its
-     * domain, which is also the worker that executes its events.
-     */
-    void
-    setDomains(unsigned domains, std::vector<unsigned> coreDomain,
-               std::vector<unsigned> bankDomain)
-    {
-        CBSIM_ASSERT(domains > 0, "setDomains: no domains");
-        buffers_ = std::deque<Buffer>(domains);
-        coreDomain_ = std::move(coreDomain);
-        bankDomain_ = std::move(bankDomain);
-    }
 
     /** Duration slice on core @p core's track: [start, end). */
     void
     coreSlice(CoreId core, const char* state, Tick start, Tick end)
     {
-        coreBuf(core).events.push_back(
+        events_.push_back(
             TraceEvent{state, 'X', pidCores,
                        static_cast<std::uint32_t>(core), start,
                        end - start, 0, nullptr});
@@ -84,7 +65,7 @@ class TraceExporter
     void
     park(BankId bank, CoreId core, Tick ts)
     {
-        bankBuf(bank).events.push_back(
+        events_.push_back(
             TraceEvent{"park", 'i', pidCbdir,
                        static_cast<std::uint32_t>(bank), ts, 0, core,
                        "core"});
@@ -94,21 +75,17 @@ class TraceExporter
     void
     wake(BankId bank, CoreId core, Tick ts, bool evicted)
     {
-        bankBuf(bank).events.push_back(
+        events_.push_back(
             TraceEvent{evicted ? "wake-evict" : "wake", 'i', pidCbdir,
                        static_cast<std::uint32_t>(bank), ts, 0, core,
                        "core"});
     }
 
-    /**
-     * Counter-track sample (per-epoch NoC/LLC activity). Emitted at
-     * epoch boundaries — from the event loop (classic kernel) or the
-     * inter-window barrier (parallel kernel) — so buffer 0 is safe.
-     */
+    /** Counter-track sample (per-epoch NoC/LLC activity). */
     void
     counter(const char* name, Tick ts, std::uint64_t value)
     {
-        buffers_[0].events.push_back(
+        events_.push_back(
             TraceEvent{name, 'C', pidNoc, 0, ts, 0, value, "value"});
     }
 
@@ -124,27 +101,22 @@ class TraceExporter
 
     /**
      * Begin a per-line async slice: core @p core parked on @p word's
-     * line in bank @p bank. Pairs with lineWake on the
-     * "contended-lines" process, one slice per (line, core) park
-     * episode.
+     * line. Pairs with lineWake on the "contended-lines" process, one
+     * slice per (line, core) park episode.
      */
     void
-    linePark(BankId bank, Addr word, CoreId core, Tick ts)
+    linePark(Addr word, CoreId core, Tick ts)
     {
-        Buffer& buf = bankBuf(bank);
-        buf.events.push_back(TraceEvent{lineName(buf, word), 'b',
-                                        pidLines, 0, ts, 0,
-                                        asyncId(word, core), nullptr});
+        events_.push_back(TraceEvent{lineName(word), 'b', pidLines, 0, ts,
+                                     0, asyncId(word, core), nullptr});
     }
 
     /** End the per-line async slice opened by linePark. */
     void
-    lineWake(BankId bank, Addr word, CoreId core, Tick ts)
+    lineWake(Addr word, CoreId core, Tick ts)
     {
-        Buffer& buf = bankBuf(bank);
-        buf.events.push_back(TraceEvent{lineName(buf, word), 'e',
-                                        pidLines, 0, ts, 0,
-                                        asyncId(word, core), nullptr});
+        events_.push_back(TraceEvent{lineName(word), 'e', pidLines, 0, ts,
+                                     0, asyncId(word, core), nullptr});
     }
 
     /**
@@ -152,38 +124,29 @@ class TraceExporter
      * docs/OBSERVABILITY.md §Causal tracing): starts on the releaser
      * core's track, steps through the directory bank's track, ends on
      * the waiter core's track. Emitted bank-side at the wake tick so
-     * all three land in one domain buffer in deterministic order; the
-     * Chip only wires this when causal tracing is on, so plain traces
+     * all three land back to back; the Chip only wires this when causal tracing is on, so plain traces
      * are byte-identical with the feature compiled in.
      */
     void
     wakeFlow(BankId bank, Addr word, CoreId releaser, CoreId waiter,
              Tick ts)
     {
-        Buffer& buf = bankBuf(bank);
         const std::uint64_t id = flowId(word, waiter, ts);
-        buf.events.push_back(
+        events_.push_back(
             TraceEvent{"wake", 's', pidCores,
                        static_cast<std::uint32_t>(releaser), ts, 0, id,
                        nullptr});
-        buf.events.push_back(
+        events_.push_back(
             TraceEvent{"wake", 't', pidCbdir,
                        static_cast<std::uint32_t>(bank), ts, 0, id,
                        nullptr});
-        buf.events.push_back(
+        events_.push_back(
             TraceEvent{"wake", 'f', pidCores,
                        static_cast<std::uint32_t>(waiter), ts, 0, id,
                        nullptr});
     }
 
-    std::size_t
-    eventCount() const
-    {
-        std::size_t n = 0;
-        for (const Buffer& b : buffers_)
-            n += b.events.size();
-        return n;
-    }
+    std::size_t eventCount() const { return events_.size(); }
 
     /** Serialize the full trace (metadata + events) as JSON. */
     void writeJson(std::ostream& os) const;
@@ -215,18 +178,6 @@ class TraceExporter
     };
 
     /**
-     * Per-domain append target. Line-name interning is per-buffer so
-     * workers never share the name store; names repeat across domains
-     * at a small memory cost, which the JSON output is agnostic to.
-     */
-    struct alignas(64) Buffer
-    {
-        std::vector<TraceEvent> events;
-        std::deque<std::string> nameStore;
-        std::unordered_map<Addr, const char*> lineNames;
-    };
-
-    /**
      * Async 'b'/'e' pairs match on (name, id): one park episode per
      * (line, core) gets a distinct id so concurrent waiters on the
      * same line render as parallel slices, not nested ones.
@@ -249,29 +200,17 @@ class TraceExporter
                                         << 16);
     }
 
-    Buffer&
-    coreBuf(CoreId core)
-    {
-        return buffers_[core < coreDomain_.size() ? coreDomain_[core] : 0];
-    }
-
-    Buffer&
-    bankBuf(BankId bank)
-    {
-        return buffers_[bank < bankDomain_.size() ? bankDomain_[bank] : 0];
-    }
-
     /**
      * Interned display name of @p word's line (symbol when labeled,
      * hex otherwise). Stable storage: TraceEvent keeps const char*.
      */
-    const char* lineName(Buffer& buf, Addr word);
+    const char* lineName(Addr word);
 
     unsigned numCores_;
     unsigned numBanks_;
-    std::deque<Buffer> buffers_; ///< one per timing domain
-    std::vector<unsigned> coreDomain_;
-    std::vector<unsigned> bankDomain_;
+    std::vector<TraceEvent> events_;
+    std::deque<std::string> nameStore_;
+    std::unordered_map<Addr, const char*> lineNames_;
     const std::map<Addr, std::string>* symbols_ = nullptr;
 };
 

@@ -215,6 +215,13 @@ class JsonParser
                       fail("truncated \\u escape");
                       return JsonValue();
                   }
+                  for (std::size_t i = pos_; i < pos_ + 4; ++i) {
+                      if (!std::isxdigit(
+                              static_cast<unsigned char>(text_[i]))) {
+                          fail("bad \\u escape");
+                          return JsonValue();
+                      }
+                  }
                   const unsigned long cp =
                       std::strtoul(text_.substr(pos_, 4).c_str(), nullptr,
                                    16);
@@ -259,31 +266,59 @@ class JsonParser
         return JsonValue();
     }
 
+    /** Skip a run of decimal digits; false when there is none. */
+    bool
+    digits()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        return pos_ > start;
+    }
+
+    /** JSON number grammar: -?digits(.digits)?([eE][+-]?digits)? */
     JsonValue
     parseNumber()
     {
         const std::size_t start = pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-')
+        const auto at = [this](char c) {
+            return pos_ < text_.size() && text_[pos_] == c;
+        };
+        if (at('-'))
             ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
+        bool ok = digits();
+        if (ok && at('.')) {
             ++pos_;
+            ok = digits();
+        }
+        if (ok && (at('e') || at('E'))) {
+            ++pos_;
+            if (at('+') || at('-'))
+                ++pos_;
+            ok = digits();
+        }
         if (pos_ == start) {
             fail("expected a value");
             return JsonValue();
         }
+        // Swallow the rest of a malformed token so the diagnostic
+        // shows all of it.
+        while (pos_ < text_.size() &&
+               (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
+                text_[pos_] == '.' || text_[pos_] == '+' ||
+                text_[pos_] == '-')) {
+            ok = false;
+            ++pos_;
+        }
         JsonValue v;
         v.kind_ = JsonValue::Kind::Number;
         v.str_ = text_.substr(start, pos_ - start);
-        char* end = nullptr;
-        v.num_ = std::strtod(v.str_.c_str(), &end);
-        if (end != v.str_.c_str() + v.str_.size()) {
+        if (!ok) {
             fail("malformed number '" + v.str_ + "'");
             return JsonValue();
         }
+        v.num_ = std::strtod(v.str_.c_str(), nullptr);
         return v;
     }
 

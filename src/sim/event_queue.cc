@@ -26,12 +26,6 @@ EventQueue::migrateFar()
     // reproduces the exact global dispatch order inside the new window.
     wheelBase_ = far_.front().when;
     now_ = wheelBase_;
-    migrateFarWindow();
-}
-
-void
-EventQueue::migrateFarWindow()
-{
     while (!far_.empty() && far_.front().when - wheelBase_ < wheelSize) {
         std::pop_heap(far_.begin(), far_.end(), FarLater{});
         const FarKey key = far_.back();
@@ -108,17 +102,6 @@ EventQueue::run(Tick maxTicks)
         }
         dispatchBucket();
     }
-    return now_;
-}
-
-Tick
-EventQueue::runUntil(Tick horizon)
-{
-    // Same dispatch as run(); advanceBefore just refuses to step onto
-    // any tick >= horizon, so pausing at a window edge and resuming is
-    // invisible to the executed event order.
-    while (advanceBefore(horizon))
-        dispatchBucket();
     return now_;
 }
 

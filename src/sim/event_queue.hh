@@ -205,58 +205,6 @@ class EventQueue
      */
     Tick run(Tick maxTicks = maxTick);
 
-    /**
-     * Execute every pending event with tick < @p horizon, leaving the
-     * queue resumable (the parallel kernel's per-window quantum; see
-     * sim/domains.hh). Dispatch order is identical to run()'s — the
-     * horizon only decides where execution pauses. Events scheduled
-     * during the window execute in the same pass when they land before
-     * the horizon. Budget enforcement is the caller's job.
-     *
-     * @return now(), i.e. the last executed tick.
-     */
-    Tick runUntil(Tick horizon);
-
-    /**
-     * Tick of the earliest pending event, or maxTick when empty. Does
-     * not advance time (the barrier scheduler uses this to pick the
-     * next window start).
-     */
-    Tick
-    nextPendingTick() const
-    {
-        if (wheelCount_ != 0) {
-            const std::size_t c = now_ & (wheelSize - 1);
-            return now_ + ((nextOccupied(c) - c) & (wheelSize - 1));
-        }
-        if (!far_.empty())
-            return far_.front().when;
-        return maxTick;
-    }
-
-    /**
-     * Advance the clock to @p t without executing anything. Legal only
-     * when every pending event's tick is >= @p t (the barrier scheduler
-     * aligns idle domains to the window edge so coordinator-phase
-     * schedules get uniform, deterministic timestamps).
-     */
-    void
-    syncTo(Tick t)
-    {
-        CBSIM_ASSERT(t >= now_, "syncTo into the past");
-        CBSIM_ASSERT(nextPendingTick() >= t, "syncTo past a pending event");
-        if (wheelCount_ == 0) {
-            // Wheel empty: rebase the window so future short delays
-            // land in the wheel. Far events the new base pulls into
-            // range must migrate NOW — once the wheel is non-empty,
-            // the dispatch paths assume no far event undercuts it.
-            wheelBase_ = t;
-            if (!far_.empty())
-                migrateFarWindow();
-        }
-        now_ = t;
-    }
-
     /** Execute a single event; returns false if the queue was empty. */
     bool
     step()
@@ -391,35 +339,7 @@ class EventQueue
      */
     void migrateFar();
 
-    /**
-     * Migrate every far event inside the *current* wheel window
-     * [wheelBase_, wheelBase_ + wheelSize), leaving now_ and
-     * wheelBase_ alone. syncTo uses this after rebasing the window:
-     * far events that the new base pulls into range must move into
-     * buckets, or nextPendingTick()/advanceBefore() — which trust
-     * that the wheel minimum undercuts every far event — would run
-     * right past them.
-     */
-    void migrateFarWindow();
-
-    /** advance(), but refuses to move onto any tick >= @p horizon. */
-    bool
-    advanceBefore(Tick horizon)
-    {
-        if (wheelCount_ == 0) {
-            if (far_.empty() || far_.front().when >= horizon)
-                return false;
-            migrateFar();
-        }
-        const std::size_t c = now_ & (wheelSize - 1);
-        const Tick next = now_ + ((nextOccupied(c) - c) & (wheelSize - 1));
-        if (next >= horizon)
-            return false;
-        now_ = next;
-        return true;
-    }
-
-    /** Dispatch the whole bucket at now_ (shared by run/runUntil). */
+    /** Dispatch the whole bucket at now_ (run()'s loop body). */
     void dispatchBucket();
 
     std::array<Bucket, wheelSize> buckets_;

@@ -41,8 +41,8 @@ const char* traceCategoryName(TraceCategory c);
 
 /**
  * Global tracer singleton. emit() serializes under a mutex so trace
- * points stay safe when the parallel kernel runs multiple timing-domain
- * workers; the disabled path is still a single branch.
+ * points stay safe when sweep workers (--jobs) run chips concurrently;
+ * the disabled path is still a single branch.
  */
 class Tracer
 {
@@ -111,7 +111,7 @@ class Tracer
     Addr lineFilter_ = 0;
     std::ostream* sink_ = nullptr;
     std::uint64_t emitted_ = 0;
-    std::mutex emitMutex_; ///< serializes emit() across domain workers
+    std::mutex emitMutex_; ///< serializes emit() across sweep workers
 };
 
 /**

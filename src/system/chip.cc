@@ -19,21 +19,14 @@
 namespace cbsim {
 
 Chip::Chip(const ChipConfig& cfg)
-    : cfg_(cfg),
-      domains_(DomainMap(cfg.noc.width, cfg.noc.height,
-                         ChipConfig::timingDomains(cfg.threads,
-                                                   cfg.noc.width,
-                                                   cfg.noc.height)),
-               std::max<Tick>(cfg.noc.switchLatency, 1)),
-      mesh_(domains_, cfg.noc, stats_.scope("noc")),
-      memory_(domains_, cfg.memLatency, stats_.scope("mem")),
-      syncShards_(domains_.count())
+    : cfg_(cfg), mesh_(eq_, cfg.noc, stats_.scope("noc")),
+      memory_(eq_, cfg.memLatency, stats_.scope("mem"))
 {
     cfg_.validate();
     // LLC banks see only their own residue class of line numbers; index
     // sets on the post-interleaving bits so the whole bank is usable.
     cfg_.llcBank.indexDivisor = cfg_.numCores;
-    syncShards_.front().registerStats(stats_.scope("sync"));
+    syncStats_.registerStats(stats_.scope("sync"));
     classifier_.registerStats(stats_.scope("pages"));
 
     const unsigned n = cfg_.numCores;
@@ -43,15 +36,14 @@ Chip::Chip(const ChipConfig& cfg)
 
     for (CoreId i = 0; i < n; ++i) {
         const auto node = static_cast<NodeId>(i);
-        EventQueue& q = domains_.queueOf(node);
         if (cfg_.protocol == ProtocolKind::Mesi) {
             auto l1 = std::make_unique<MesiL1>(
-                i, node, q, mesh_, data_, cfg_.l1, cfg_.l1Latency, n,
+                i, node, eq_, mesh_, data_, cfg_.l1, cfg_.l1Latency, n,
                 cfg_.backoff.pauseDelay);
             l1->registerStats(stats_.scope("l1." + std::to_string(i)));
             mesiL1s_.push_back(l1.get());
             auto bank = std::make_unique<MesiLlcBank>(
-                static_cast<BankId>(i), q, mesh_, data_, memory_,
+                static_cast<BankId>(i), eq_, mesh_, data_, memory_,
                 cfg_.llcBank, cfg_.llc);
             bank->registerStats(stats_.scope("llc." + std::to_string(i)));
             mesiBanks_.push_back(bank.get());
@@ -59,12 +51,12 @@ Chip::Chip(const ChipConfig& cfg)
             banks_.push_back(std::move(bank));
         } else {
             auto l1 = std::make_unique<VipsL1>(
-                i, node, q, mesh_, data_, classifier_, cfg_.l1,
+                i, node, eq_, mesh_, data_, classifier_, cfg_.l1,
                 cfg_.l1Latency, n);
             l1->registerStats(stats_.scope("l1." + std::to_string(i)));
             vipsL1s_.push_back(l1.get());
             auto bank = std::make_unique<VipsLlcBank>(
-                static_cast<BankId>(i), q, mesh_, data_, memory_,
+                static_cast<BankId>(i), eq_, mesh_, data_, memory_,
                 cfg_.llcBank, cfg_.llc, cfg_.cbEntriesPerBank,
                 cfg_.cbDirLatency, n);
             bank->registerStats(stats_.scope("llc." + std::to_string(i)));
@@ -83,10 +75,8 @@ Chip::Chip(const ChipConfig& cfg)
                      });
 
         auto core = std::make_unique<Core>(
-            i, q, *l1s_.back(), cfg_.backoff,
-            syncShards_[domains_.domainOf(node)], [this] {
-                finished_.fetch_add(1, std::memory_order_relaxed);
-            });
+            i, eq_, *l1s_.back(), cfg_.backoff, syncStats_,
+            [this] { ++finished_; });
         core->registerStats(stats_.scope("core." + std::to_string(i)));
         cores_.push_back(std::move(core));
     }
@@ -96,22 +86,6 @@ Chip::Chip(const ChipConfig& cfg)
             [this](CoreId prev_owner, Addr page_base) {
                 vipsL1s_.at(prev_owner)->reclassifyPage(page_base);
             });
-    }
-
-    if (domains_.parallel()) {
-        // The chip-wide page table and data store are the two truly
-        // shared structures; switch them to their windowed/deferred
-        // parallel modes (see their headers for the determinism
-        // arguments).
-        if (cfg_.protocol == ProtocolKind::Vips) {
-            std::vector<unsigned> coreDomain(n);
-            for (CoreId i = 0; i < n; ++i)
-                coreDomain[i] =
-                    domains_.domainOf(static_cast<NodeId>(i));
-            classifier_.enableWindowed(domains_.count(),
-                                       std::move(coreDomain));
-        }
-        data_.setDeferredGrowth(true, 1u << 15);
     }
 
     buildDebug();
@@ -132,17 +106,6 @@ Chip::buildObs()
     if (obs.traceEnabled()) {
         trace_ = std::make_unique<TraceExporter>(cfg_.numCores,
                                                  cfg_.numCores);
-        if (domains_.parallel()) {
-            std::vector<unsigned> coreDomain(cfg_.numCores);
-            std::vector<unsigned> bankDomain(cfg_.numCores);
-            for (unsigned i = 0; i < cfg_.numCores; ++i) {
-                coreDomain[i] =
-                    domains_.domainOf(static_cast<NodeId>(i));
-                bankDomain[i] = coreDomain[i]; // bank i sits at node i
-            }
-            trace_->setDomains(domains_.count(), std::move(coreDomain),
-                               std::move(bankDomain));
-        }
         for (auto& core : cores_)
             core->setTrace(trace_.get());
         for (VipsLlcBank* bank : vipsBanks_)
@@ -152,9 +115,7 @@ Chip::buildObs()
     if (obs.attributionEnabled()) {
         // One bounded shard per instrumented component, registered as
         // "<scope>.attr". Shards for components without attribution
-        // sites (VIPS L1s) are not created. Each shard is touched only
-        // by its component's timing domain, so the parallel kernel
-        // needs no extra synchronization here.
+        // sites (VIPS L1s) are not created.
         auto shard = [this](const std::string& scope) {
             attrShards_.push_back(std::make_unique<AttributionTable>());
             stats_.scope(scope).add("attr", *attrShards_.back());
@@ -174,22 +135,15 @@ Chip::buildObs()
     }
 
     if (obs.causalEnabled()) {
-        // One shard per timing domain; every instrumented component
-        // writes the shard of its own node's domain, so the parallel
-        // kernel needs no synchronization beyond the barrier-time fold.
-        // Component i (core, L1, bank) sits at node i.
-        causal_ = std::make_unique<CausalTracker>(domains_.count());
-        auto shardAt = [this](unsigned i) {
-            return &causal_->shard(
-                domains_.domainOf(static_cast<NodeId>(i)));
-        };
-        for (CoreId i = 0; i < cfg_.numCores; ++i)
-            cores_[i]->setCausal(shardAt(i));
-        for (std::size_t i = 0; i < mesiL1s_.size(); ++i)
-            mesiL1s_[i]->setCausal(shardAt(static_cast<unsigned>(i)));
-        for (std::size_t i = 0; i < vipsBanks_.size(); ++i)
-            vipsBanks_[i]->setCausal(shardAt(static_cast<unsigned>(i)));
-        mesh_.setCausal(causal_.get());
+        causal_ = std::make_unique<CausalTracker>();
+        CausalShard* shard = &causal_->shard();
+        for (auto& core : cores_)
+            core->setCausal(shard);
+        for (MesiL1* l1 : mesiL1s_)
+            l1->setCausal(shard);
+        for (VipsLlcBank* bank : vipsBanks_)
+            bank->setCausal(shard);
+        mesh_.setCausal(shard);
     }
 
     if (trace_ != nullptr)
@@ -203,10 +157,7 @@ Chip::buildObs()
             return blocked;
         });
         epochSampler_->setTrace(trace_.get());
-        if (cfg_.threads > 0)
-            epochSampler_->installParallel(obs.epochTicks);
-        else
-            epochSampler_->install(domains_.queue(0), obs.epochTicks);
+        epochSampler_->install(eq_, obs.epochTicks);
     }
 }
 
@@ -264,23 +215,8 @@ Chip::buildDebug()
                                           checker_->checkInterval());
             };
         }
-        watchdog_ = std::make_unique<Watchdog>(domains_.queue(0), dbg,
-                                               std::move(hooks));
-        if (cfg_.threads > 0) {
-            // Parallel kernel: progress and invariant checks run under
-            // the barrier (onParallelBarrier); per-domain poll hooks do
-            // only the thread-safe wall-clock check, so a wedged window
-            // still trips the timeout from inside the window.
-            watchdog_->installParallel();
-            for (unsigned d = 0; d < domains_.count(); ++d) {
-                EventQueue& q = domains_.queue(d);
-                q.setPollHook(dbg.checkIntervalEvents, [this, &q] {
-                    watchdog_->checkWall(q.now());
-                });
-            }
-        } else {
-            watchdog_->install();
-        }
+        watchdog_ = std::make_unique<Watchdog>(eq_, dbg, std::move(hooks));
+        watchdog_->install();
     }
 }
 
@@ -296,48 +232,6 @@ Chip::setProgram(CoreId core, Program program)
     cores_.at(core)->setProgram(std::move(program));
 }
 
-void
-Chip::foldShardedStats()
-{
-    mesh_.foldShards();
-    memory_.foldShards();
-    for (std::size_t d = 1; d < syncShards_.size(); ++d)
-        syncShards_.front().mergeFrom(syncShards_[d]);
-}
-
-void
-Chip::onParallelBarrier(Tick end)
-{
-    // Order matters: the invariant checker (via the watchdog hook)
-    // reads the page classifier, so the window's classifications must
-    // be committed first.
-    classifier_.applyWindow();
-    if (watchdog_ != nullptr) {
-        const std::uint64_t executed = domains_.executedEvents();
-        if (executed >= nextPollEvents_) {
-            nextPollEvents_ = executed + cfg_.debug.checkIntervalEvents;
-            watchdog_->pollAt(end);
-        }
-    }
-    if (causal_ != nullptr)
-        causal_->fold();
-    data_.growIfNeeded();
-}
-
-Tick
-Chip::onParallelWindowStart(Tick start, Tick proposed)
-{
-    if (epochSampler_ == nullptr)
-        return proposed;
-    // The sampler reads the registered shard-0 counters, so fold
-    // before cutting; every event < start has executed, which is
-    // exactly the classic kernel's state when it fires boundaries
-    // <= the next bucket tick.
-    foldShardedStats();
-    epochSampler_->cutUpTo(start);
-    return std::min(proposed, epochSampler_->nextBoundaryAt());
-}
-
 RunResult
 Chip::run()
 {
@@ -351,20 +245,7 @@ Chip::run()
     for (auto& core : cores_)
         core->start();
     try {
-        if (cfg_.threads > 0) {
-            if (watchdog_ != nullptr)
-                nextPollEvents_ = cfg_.debug.checkIntervalEvents;
-            TimingDomains::RunHooks hooks;
-            hooks.onBarrier = [this](Tick end) {
-                onParallelBarrier(end);
-            };
-            hooks.onWindowStart = [this](Tick s, Tick p) {
-                return onParallelWindowStart(s, p);
-            };
-            domains_.run(cfg_.maxTicks, cfg_.threads, std::move(hooks));
-        } else {
-            domains_.queue(0).run(cfg_.maxTicks);
-        }
+        eq_.run(cfg_.maxTicks);
     } catch (const std::exception& e) {
         // Tick-budget exhaustion, watchdog trips, and invariant panics
         // all surface here; attach the machine state before rethrowing.
@@ -375,7 +256,6 @@ Chip::run()
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - t0)
             .count();
-    foldShardedStats();
     if (finishedCores() != cfg_.numCores) {
         dumpForensics("quiesce failure: event queue drained with "
                       "unfinished cores");
@@ -394,15 +274,9 @@ Chip::run()
     Tick end = 0;
     for (const auto& core : cores_)
         end = std::max(end, core->doneTick());
-    RunResult result = RunResult::fromStats(stats_, syncShards_.front(),
-                                            end);
-    result.events = domains_.executedEvents();
+    RunResult result = RunResult::fromStats(stats_, syncStats_, end);
+    result.events = eq_.executedEvents();
     result.simWallMs = sim_wall_ms;
-    result.threads = cfg_.threads > 0 ? domains_.count() : 0;
-    if (cfg_.threads > 0) {
-        result.windows = domains_.windowsExecuted();
-        result.workerPerf = domains_.workerPerf();
-    }
     if (epochSampler_ != nullptr)
         result.epochs = epochSampler_->rows();
     if (!attrShards_.empty()) {
@@ -413,10 +287,8 @@ Chip::run()
         result.contention =
             buildContention(shards, symbols_, RunResult::kContentionTopN);
     }
-    if (causal_ != nullptr) {
-        causal_->fold();
+    if (causal_ != nullptr)
         result.causal = causal_->rows();
-    }
     if (trace_ != nullptr)
         trace_->writeFile(cfg_.debug.obs.traceDir, cfg_.debug.label);
     return result;
@@ -444,24 +316,13 @@ Chip::dumpForensics(const std::string& reason)
                 cfg_.protocol == ProtocolKind::Mesi ? "mesi" : "vips");
         w.field("num_cores", cfg_.numCores);
         w.field("finished_cores", finishedCores());
-        w.field("now", domains_.now());
-        // Kernel selector of the wedged run: worker count (--threads /
-        // CBSIM_THREADS) and the domain partition it implies — the same
-        // pair the quarantine bundle records, so a repro starts from
-        // the same kernel.
-        w.field("threads", cfg_.threads);
-        w.field("timing_domains", domains_.count());
+        const EventQueue::DebugSnapshot snap = eq_.debugSnapshot();
+        w.field("now", snap.now);
 
-        // Aggregate executed/pending over every domain; the bucket-level
-        // head window comes from domain 0 (the only domain when the
-        // classic kernel is running).
-        const EventQueue::DebugSnapshot snap =
-            domains_.queue(0).debugSnapshot();
         w.key("event_queue");
         w.beginObject();
-        w.field("executed", domains_.executedEvents());
-        w.field("pending",
-                static_cast<std::uint64_t>(domains_.pendingEvents()));
+        w.field("executed", snap.executed);
+        w.field("pending", static_cast<std::uint64_t>(snap.pending));
         w.field("far_pending",
                 static_cast<std::uint64_t>(snap.farPending));
         w.field("far_min", snap.farMin);
@@ -475,54 +336,6 @@ Chip::dumpForensics(const std::string& reason)
         }
         w.endArray();
         w.endObject();
-
-        if (domains_.parallel()) {
-            // Sharded-kernel state: where the window scheduler stood,
-            // each domain's own clock and head events, and what every
-            // worker thread was last seen doing — enough to tell a
-            // wedged domain (one queue stuck behind the others) from a
-            // wedged barrier (workers parked, coordinator gone).
-            w.key("parallel_kernel");
-            w.beginObject();
-            w.field("window_start", domains_.windowStart());
-            w.field("window_end", domains_.windowEnd());
-            w.field("lookahead", domains_.lookahead());
-            w.field("windows_executed", domains_.windowsExecuted());
-            w.key("domains");
-            w.beginArray();
-            for (unsigned d = 0; d < domains_.count(); ++d) {
-                const EventQueue& q = domains_.queue(d);
-                const EventQueue::DebugSnapshot ds = q.debugSnapshot();
-                w.beginObject();
-                w.field("domain", d);
-                w.field("now", q.now());
-                w.field("executed", q.executedEvents());
-                w.field("pending",
-                        static_cast<std::uint64_t>(q.pendingEvents()));
-                w.field("far_pending",
-                        static_cast<std::uint64_t>(ds.farPending));
-                w.field("far_min", ds.farMin);
-                w.key("head_window");
-                w.beginArray();
-                for (const auto& [when, count] : ds.headWindow) {
-                    w.beginObject();
-                    w.field("tick", when);
-                    w.field("events",
-                            static_cast<std::uint64_t>(count));
-                    w.endObject();
-                }
-                w.endArray();
-                w.endObject();
-            }
-            w.endArray();
-            w.key("workers");
-            w.beginArray();
-            for (unsigned wk = 0; wk < domains_.workerCount(); ++wk)
-                w.value(TimingDomains::workerPhaseName(
-                    domains_.workerPhase(wk)));
-            w.endArray();
-            w.endObject();
-        }
 
         w.key("cores");
         w.beginArray();

@@ -4,20 +4,13 @@
  * memory model, and (for VIPS) the page classifier and the per-bank
  * callback directories into a runnable chip.
  *
- * Every component schedules on its node's timing domain
- * (TimingDomains). With ChipConfig::threads == 0 there is a single
- * domain and run() drives the classic serial kernel; with threads >= 1
- * the chip runs the conservative-PDES parallel kernel (DESIGN.md
- * §"Parallel event kernel"), with the chip acting as the barrier
- * coordinator: stat-shard folds, page-classifier window application,
- * epoch cuts, watchdog polling, and data-store growth all happen under
- * the inter-window barrier.
+ * The chip owns one EventQueue and every component schedules on it
+ * directly (DESIGN.md §"Why there is one kernel").
  */
 
 #ifndef CBSIM_SYSTEM_CHIP_HH
 #define CBSIM_SYSTEM_CHIP_HH
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,7 +24,7 @@
 #include "mem/data_store.hh"
 #include "mem/memory_model.hh"
 #include "obs/registry.hh"
-#include "sim/domains.hh"
+#include "sim/event_queue.hh"
 #include "system/chip_config.hh"
 #include "system/run_result.hh"
 
@@ -63,13 +56,10 @@ class Chip
 
     // --- introspection (tests, examples) -------------------------------
     const ChipConfig& config() const { return cfg_; }
-    /** Domain 0's queue (the only queue when threads == 0). */
-    EventQueue& eventQueue() { return domains_.queue(0); }
-    TimingDomains& domains() { return domains_; }
+    EventQueue& eventQueue() { return eq_; }
     DataStore& dataStore() { return data_; }
     StatsRegistry& stats() { return stats_; }
-    /** Shard 0 (the registered one; complete after run() folds). */
-    SyncStats& syncStats() { return syncShards_.front(); }
+    SyncStats& syncStats() { return syncStats_; }
 
     /** The trace exporter, or null when trace export is off. */
     const TraceExporter* traceExporter() const { return trace_.get(); }
@@ -82,11 +72,7 @@ class Chip
     /** VIPS-only: the callback directory of bank @p i (for tests). */
     const CallbackDirectory& callbackDirectory(BankId i) const;
 
-    unsigned
-    finishedCores() const
-    {
-        return finished_.load(std::memory_order_relaxed);
-    }
+    unsigned finishedCores() const { return finished_; }
 
     /**
      * Compose the forensic JSON report for the current machine state
@@ -104,29 +90,14 @@ class Chip
     void buildDebug();
     void buildObs();
 
-    /** Fold per-domain stat shards into the registered shard 0. */
-    void foldShardedStats();
-
-    /** Barrier-time coordinator work (parallel kernel). */
-    void onParallelBarrier(Tick end);
-
-    /** Window-start clamp: cut epochs, bound the window (parallel). */
-    Tick onParallelWindowStart(Tick start, Tick proposed);
-
     ChipConfig cfg_;
-    TimingDomains domains_;
+    EventQueue eq_;
     StatsRegistry stats_;
     DataStore data_;
     Mesh mesh_;
     MemoryModel memory_;
     PageClassifier classifier_;
-
-    /**
-     * Per-domain sync-stat shards; shard 0 is registered and absorbs
-     * the rest at fold points (merges are commutative, so results are
-     * independent of domain count).
-     */
-    std::vector<SyncStats> syncShards_;
+    SyncStats syncStats_;
 
     std::vector<std::unique_ptr<L1Controller>> l1s_;
     std::vector<std::unique_ptr<LlcBank>> banks_;
@@ -147,8 +118,7 @@ class Chip
     std::unique_ptr<TraceExporter> trace_;
 
     /**
-     * Causal sync-episode tracker (one shard per timing domain); null
-     * when causal tracing is off. Shards fold under the barrier, the
+     * Causal sync-episode tracker; null when causal tracing is off. The
      * stitcher runs once at end of run.
      */
     std::unique_ptr<CausalTracker> causal_;
@@ -165,10 +135,7 @@ class Chip
      */
     std::map<Addr, std::string> symbols_;
 
-    /** Executed-event threshold for the next barrier watchdog poll. */
-    std::uint64_t nextPollEvents_ = ~std::uint64_t{0};
-
-    std::atomic<unsigned> finished_{0};
+    unsigned finished_ = 0;
     bool ran_ = false;
 };
 

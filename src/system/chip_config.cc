@@ -1,52 +1,11 @@
 #include "system/chip_config.hh"
 
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 
 #include "sim/log.hh"
 
 namespace cbsim {
-
-namespace {
-
-std::atomic<unsigned>&
-defaultThreadsSlot()
-{
-    static std::atomic<unsigned> slot{[] {
-        const char* env = std::getenv("CBSIM_THREADS");
-        return env != nullptr
-                   ? static_cast<unsigned>(std::strtoul(env, nullptr, 10))
-                   : 0u;
-    }()};
-    return slot;
-}
-
-} // namespace
-
-unsigned
-ChipConfig::defaultThreads()
-{
-    return defaultThreadsSlot().load(std::memory_order_relaxed);
-}
-
-void
-ChipConfig::setDefaultThreads(unsigned threads)
-{
-    defaultThreadsSlot().store(threads, std::memory_order_relaxed);
-}
-
-unsigned
-ChipConfig::timingDomains(unsigned threads, unsigned width,
-                          unsigned height)
-{
-    // The domain count must depend only on the simulated mesh shape —
-    // never on the worker count — so every threads >= 1 run produces
-    // byte-identical results and only wall-clock varies.
-    if (threads == 0 || width < 2 || height < 2)
-        return 1;
-    return 4;
-}
 
 const char*
 techniqueName(Technique t)
@@ -119,13 +78,6 @@ ChipConfig::validate() const
               numCores);
     if (cbEntriesPerBank == 0)
         fatal("callback directory needs >= 1 entry per bank");
-    if (threads > 0 && debug.faults.enabled()) {
-        // Fault injection draws from per-site RNG streams in event
-        // order, and the injected NoC delay can undercut the barrier
-        // lookahead; neither survives domain partitioning.
-        fatal("fault injection requires the classic kernel "
-              "(--threads 0)");
-    }
 }
 
 } // namespace cbsim

@@ -72,34 +72,6 @@ struct ChipConfig
     Tick maxTicks = 4'000'000'000ULL;
 
     /**
-     * Parallel event kernel (docs/DESIGN.md §"Parallel event kernel").
-     * 0 = classic single-queue kernel. N >= 1 shards the chip into
-     * mesh-quadrant timing domains advanced by up to N worker threads
-     * under a conservative lookahead barrier. The *domain* count is
-     * fixed by the mesh shape alone (see timingDomains()), so results
-     * are byte-identical for every N >= 1 — the worker count is a host
-     * knob, like sweep --jobs. Defaults to the process-wide setting
-     * (CBSIM_THREADS or --threads); this is a simulation-shape knob,
-     * not a DebugConfig entry, because domain partitioning changes
-     * event interleaving and therefore results.
-     */
-    unsigned threads = defaultThreads();
-
-    /**
-     * Timing-domain count implied by @p threads for a @p width x
-     * @p height mesh: 4 quadrants when parallelism is requested and
-     * both dimensions split, else 1.
-     */
-    static unsigned timingDomains(unsigned threads, unsigned width,
-                                  unsigned height);
-
-    /** Process-wide default for @c threads (env CBSIM_THREADS, else 0). */
-    static unsigned defaultThreads();
-
-    /** Override the process-wide default (bench --threads). */
-    static void setDefaultThreads(unsigned threads);
-
-    /**
      * Robustness settings (watchdog, invariant checker, fault
      * injection). Defaults to the resolved process/thread configuration
      * at the moment the ChipConfig is constructed (see debug_config.hh).

@@ -77,7 +77,6 @@ RunResult::scalarFields() const
         {"cbdir_evictions", cbdirEvictions},
         {"stall_cycles", stallCycles},
         {"cb_blocked_cycles", cbBlockedCycles},
-        {"threads", threads},
         {"sync_acquire_p50", roundedLatency(acq.p50Latency)},
         {"sync_acquire_p95", roundedLatency(acq.p95Latency)},
         {"sync_acquire_p99", roundedLatency(acq.p99Latency)},

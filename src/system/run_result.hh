@@ -17,7 +17,6 @@
 #include "obs/attribution.hh"
 #include "obs/causal.hh"
 #include "obs/epoch.hh"
-#include "sim/domains.hh"
 #include "stats/stats.hh"
 
 namespace cbsim {
@@ -63,26 +62,6 @@ struct RunResult
      */
     std::uint64_t events = 0;
     double simWallMs = 0.0;
-
-    /**
-     * Timing-domain count of the kernel that produced this result:
-     * 0 = classic single-queue kernel, >= 1 = parallel kernel with that
-     * many domains. Serialized (schema v6) and folded into the job
-     * config hash, because domain partitioning selects the kernel and
-     * therefore the event interleaving. The *worker* count is a host
-     * knob (results are byte-identical for any worker count) and, like
-     * simWallMs, never enters the artifacts.
-     */
-    std::uint64_t threads = 0;
-
-    /**
-     * Parallel-kernel host metrics: barrier windows executed and the
-     * per-worker busy/drain/wait wall-clock breakdown. Transient, like
-     * simWallMs — consumed by bench_perf_kernel's host-perf report,
-     * never serialized into results artifacts.
-     */
-    std::uint64_t windows = 0;
-    std::vector<TimingDomains::WorkerPerf> workerPerf;
 
     std::array<SyncKindResult, SyncStats::numKinds> sync{};
 

@@ -15,9 +15,9 @@
 #include <sstream>
 
 #include "../support/chip_helpers.hh"
-#include "../support/json_lite.hh"
 #include "debug/forensics.hh"
 #include "debug/watchdog.hh"
+#include "report/json_value.hh"
 
 namespace cbsim {
 namespace {
@@ -31,6 +31,15 @@ slurp(const std::string& path)
     std::ostringstream os;
     os << in.rdbuf();
     return os.str();
+}
+
+/** JsonValue's diagnostic for @p text; empty when it is well formed. */
+std::string
+parseError(const std::string& text)
+{
+    std::string error;
+    JsonValue::parse(text, error);
+    return error;
 }
 
 TEST(EventQueuePollHook, FiresEveryNEvents)
@@ -121,7 +130,7 @@ TEST(Watchdog, TickBudgetExhaustionIsFatalAndDumpsForensics)
     const std::string path = dir + "/tick-budget-test.forensic.json";
     const std::string json = slurp(path);
     ASSERT_FALSE(json.empty()) << "no forensic dump at " << path;
-    EXPECT_TRUE(jsonlite::wellFormed(json)) << json;
+    EXPECT_EQ(parseError(json), "") << json;
     EXPECT_NE(json.find("tick budget"), std::string::npos);
     std::remove(path.c_str());
 }
@@ -147,7 +156,7 @@ TEST(Watchdog, DeadlockedCallbackDumpNamesBlockedCoreAndEntry)
     const std::string json =
         slurp(dir + "/deadlock-test.forensic.json");
     ASSERT_FALSE(json.empty());
-    EXPECT_TRUE(jsonlite::wellFormed(json)) << json;
+    EXPECT_EQ(parseError(json), "") << json;
     // The dump names the blocked core's op/address...
     EXPECT_NE(json.find("\"blocked_on\""), std::string::npos);
     EXPECT_NE(json.find("\"ld_cb\""), std::string::npos);
@@ -181,61 +190,12 @@ TEST(Forensics, ReportIsWellFormedOnAHealthyChip)
     ASSERT_NE(begin, std::string::npos);
     ASSERT_NE(end, std::string::npos);
     const std::string json = err.substr(begin, end - begin + 1);
-    EXPECT_TRUE(jsonlite::wellFormed(json)) << json;
+    EXPECT_EQ(parseError(json), "") << json;
     EXPECT_NE(json.find("\"schema\": \"cbsim-forensic-v1\""),
               std::string::npos);
     EXPECT_NE(json.find("\"cores\""), std::string::npos);
     EXPECT_NE(json.find("\"event_queue\""), std::string::npos);
     EXPECT_NE(json.find("\"banks\""), std::string::npos);
-}
-
-TEST(Forensics, ParallelKernelDumpShowsDomainsAndWorkers)
-{
-    // Under the sharded kernel the dump must identify the kernel
-    // (threads/timing_domains) and add the parallel_kernel section:
-    // window bounds, per-domain queue state, per-worker phases — the
-    // data a sharded-kernel hang is diagnosed from.
-    ChipConfig cfg = testConfig(Technique::CbOne, 4);
-    cfg.threads = 2; // 2x2 mesh quarters: 4 timing domains
-    cfg.debug.forensicDir.clear();
-    Chip chip(cfg);
-    idleAll(chip);
-    Assembler a;
-    a.movImm(1, kFlag);
-    a.stThroughImm(7, 1);
-    a.ldThrough(2, 1);
-    chip.setProgram(0, a.assemble());
-    chip.run();
-    testing::internal::CaptureStderr();
-    chip.dumpForensics("unit test");
-    const std::string err = testing::internal::GetCapturedStderr();
-    const auto begin = err.find('{');
-    const auto end = err.rfind('}');
-    ASSERT_NE(begin, std::string::npos);
-    const std::string json = err.substr(begin, end - begin + 1);
-    EXPECT_TRUE(jsonlite::wellFormed(json)) << json;
-    EXPECT_NE(json.find("\"threads\": 2"), std::string::npos) << json;
-    EXPECT_NE(json.find("\"timing_domains\": 4"), std::string::npos);
-    EXPECT_NE(json.find("\"parallel_kernel\""), std::string::npos);
-    EXPECT_NE(json.find("\"window_start\""), std::string::npos);
-    EXPECT_NE(json.find("\"lookahead\""), std::string::npos);
-    // All four domains and both workers are listed; after run() every
-    // worker has settled to idle.
-    EXPECT_NE(json.find("\"domain\": 3"), std::string::npos);
-    const auto workers = json.find("\"workers\"");
-    ASSERT_NE(workers, std::string::npos);
-    const auto firstIdle = json.find("\"idle\"", workers);
-    ASSERT_NE(firstIdle, std::string::npos);
-    EXPECT_NE(json.find("\"idle\"", firstIdle + 1), std::string::npos);
-    // The classic-kernel dump stays free of the section.
-    ChipConfig serial = testConfig(Technique::CbOne, 4);
-    serial.debug.forensicDir.clear();
-    Chip schip(serial);
-    idleAll(schip);
-    testing::internal::CaptureStderr();
-    schip.dumpForensics("unit test");
-    const std::string serr = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(serr.find("\"parallel_kernel\""), std::string::npos);
 }
 
 TEST(Forensics, LabelSanitization)

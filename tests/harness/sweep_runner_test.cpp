@@ -174,7 +174,7 @@ TEST(ResultSink, EscapesAndStructuresJson)
     const std::string json = sink.toJson();
     EXPECT_NE(json.find("\"quote\\\"and\\\\slash\""), std::string::npos);
     EXPECT_NE(json.find("line1\\nline2\\ttab"), std::string::npos);
-    EXPECT_NE(json.find("\"schema_version\": 7"), std::string::npos);
+    EXPECT_NE(json.find("\"schema_version\": 8"), std::string::npos);
     EXPECT_NE(json.find("a \\\"quoted\\\" value"), std::string::npos);
 }
 

@@ -47,14 +47,11 @@ TEST(DataStore, FootprintCountsDistinctWords)
 
 TEST(MemoryModel, ReadCompletesAfterLatency)
 {
-    TimingDomains domains(DomainMap::single(4), 6);
-    EventQueue& eq = domains.queue(0);
+    EventQueue eq;
     StatsRegistry stats;
-    MemoryModel mem(domains, 160, stats.scope("mem"));
+    MemoryModel mem(eq, 160, stats.scope("mem"));
     Tick done_at = 0;
-    eq.schedule(10, [&] {
-        mem.read(0, 0x1000, [&] { done_at = eq.now(); });
-    });
+    eq.schedule(10, [&] { mem.read(0x1000, [&] { done_at = eq.now(); }); });
     eq.run();
     EXPECT_EQ(done_at, 170u);
     EXPECT_EQ(stats.counter("mem.reads"), 1u);
@@ -62,12 +59,11 @@ TEST(MemoryModel, ReadCompletesAfterLatency)
 
 TEST(MemoryModel, WritesAreCounted)
 {
-    TimingDomains domains(DomainMap::single(4), 6);
+    EventQueue eq;
     StatsRegistry stats;
-    MemoryModel mem(domains, 160, stats.scope("mem"));
-    mem.write(0, 0x40);
-    mem.write(0, 0x80);
-    mem.foldShards();
+    MemoryModel mem(eq, 160, stats.scope("mem"));
+    mem.write(0x40);
+    mem.write(0x80);
     EXPECT_EQ(stats.counter("mem.writes"), 2u);
 }
 

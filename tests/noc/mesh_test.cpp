@@ -16,10 +16,7 @@ namespace {
 
 struct MeshFixture : ::testing::Test
 {
-    // Single-domain layout: the mesh schedules on domain 0's queue and
-    // the tests drive the serial kernel exactly as before.
-    TimingDomains domains{DomainMap::single(64), 6};
-    EventQueue& eq = domains.queue(0);
+    EventQueue eq;
     StatsRegistry stats;
     NocConfig cfg;
     std::unique_ptr<Mesh> mesh;
@@ -29,7 +26,7 @@ struct MeshFixture : ::testing::Test
     {
         cfg.width = w;
         cfg.height = h;
-        mesh = std::make_unique<Mesh>(domains, cfg, stats.scope("noc"));
+        mesh = std::make_unique<Mesh>(eq, cfg, stats.scope("noc"));
     }
 
     Message
@@ -174,7 +171,7 @@ TEST_F(MeshFixture, ZeroDimensionIsFatal)
 {
     NocConfig bad;
     bad.width = 0;
-    EXPECT_THROW(Mesh(domains, bad, stats.scope("noc2")), FatalError);
+    EXPECT_THROW(Mesh(eq, bad, stats.scope("noc2")), FatalError);
 }
 
 } // namespace

@@ -4,8 +4,7 @@
  * tracing): the reconciliation contract (segment cycles are an exact
  * partition of stall_cycles), off-by-default no-op, per-technique
  * segment sanity, and the schema-v7 determinism contract — the
- * "causal" array must be byte-identical across sweep worker counts
- * and across parallel-kernel --threads counts.
+ * "causal" array must be byte-identical across sweep worker counts.
  */
 
 #include <gtest/gtest.h>
@@ -36,21 +35,6 @@ class CausalScope
   private:
     DebugConfig cfg_;
     std::optional<DebugScope> scope_;
-};
-
-/** Pin the parallel-kernel worker count for the enclosing scope. */
-class ThreadsScope
-{
-  public:
-    explicit ThreadsScope(unsigned threads)
-        : saved_(ChipConfig::defaultThreads())
-    {
-        ChipConfig::setDefaultThreads(threads);
-    }
-    ~ThreadsScope() { ChipConfig::setDefaultThreads(saved_); }
-
-  private:
-    unsigned saved_;
 };
 
 std::uint64_t
@@ -211,49 +195,15 @@ TEST(CausalDeterminism, ByteIdenticalAcrossSweepWorkers)
     EXPECT_EQ(serial, parallel);
 }
 
-TEST(CausalDeterminism, RowsAreWorkerCountInvariantOnParallelKernel)
+TEST(CausalReconciliation, HoldsOnSixteenCoreBarrier)
 {
-    // 16 cores → a 4x4 mesh → 4 timing domains under any --threads >= 1;
-    // the stitched rows must be identical for every worker count, and
-    // the partition must still reconcile against the parallel kernel's
-    // stall total.
+    // A 4x4 mesh: longer routes and more waiters per directory than the
+    // 4-core cases above; the partition must still reconcile.
     CausalScope causal;
-    std::vector<std::vector<CausalRow>> rows;
-    std::uint64_t stalls = 0;
-    for (const unsigned threads : {1u, 2u, 4u}) {
-        ThreadsScope scope(threads);
-        const ExperimentResult r =
-            runSyncMicro(SyncMicro::TtasLock, Technique::CbOne, 16, 2,
-                         500);
-        EXPECT_EQ(totalCycles(r.run.causal), r.run.stallCycles);
-        rows.push_back(r.run.causal);
-        stalls = r.run.stallCycles;
-    }
-    EXPECT_GT(stalls, 0u);
-    EXPECT_EQ(rows[0], rows[1]);
-    EXPECT_EQ(rows[0], rows[2]);
-}
-
-TEST(CausalDeterminism, ParallelKernelMatchesClassicKernel)
-{
-    // The domain partition changes event interleaving but not the
-    // simulated machine; with identical configs the classic (threads=0)
-    // kernel runs a different domain count, so compare --threads runs
-    // only among themselves (v6 contract) — but the *reconciliation*
-    // must hold on both kernels.
-    CausalScope causal;
-    {
-        ThreadsScope scope(0);
-        const ExperimentResult r = runSyncMicro(
-            SyncMicro::SrBarrier, Technique::CbAll, 16, 2, 500);
-        EXPECT_EQ(totalCycles(r.run.causal), r.run.stallCycles);
-    }
-    {
-        ThreadsScope scope(2);
-        const ExperimentResult r = runSyncMicro(
-            SyncMicro::SrBarrier, Technique::CbAll, 16, 2, 500);
-        EXPECT_EQ(totalCycles(r.run.causal), r.run.stallCycles);
-    }
+    const ExperimentResult r =
+        runSyncMicro(SyncMicro::SrBarrier, Technique::CbAll, 16, 2, 500);
+    EXPECT_GT(r.run.stallCycles, 0u);
+    EXPECT_EQ(totalCycles(r.run.causal), r.run.stallCycles);
 }
 
 } // namespace

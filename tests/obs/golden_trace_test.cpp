@@ -38,9 +38,12 @@ const std::map<std::string, Technique> kTraceCells = {
 std::map<std::string, std::string>
 runTracedSweep(unsigned workers, bool invariants)
 {
-    const std::string dir = ::testing::TempDir() + "cbsim_golden_trace_" +
-                            std::to_string(workers) +
-                            (invariants ? "_inv" : "_plain");
+    // Keyed by test name too: ctest runs each case as its own
+    // process, concurrently, and two cases may ask for the same sweep.
+    const std::string dir =
+        ::testing::TempDir() + "cbsim_golden_trace_" +
+        ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+        "_" + std::to_string(workers) + (invariants ? "_inv" : "_plain");
     std::filesystem::remove_all(dir);
 
     // Worker threads resolve DebugConfig::current() from the process

@@ -15,6 +15,7 @@
 
 #include "debug/debug_config.hh"
 #include "harness/experiment.hh"
+#include "harness/sweep.hh"
 #include "system/chip_config.hh"
 
 namespace cbsim {
@@ -75,49 +76,61 @@ TEST(ObsInteraction, EverythingOnMatchesAllOffExactly)
 
 TEST(ObsInteraction, EverythingOnIsWorkerCountInvariant)
 {
-    // The full observability stack on the parallel kernel: epoch cuts,
-    // attribution, invariants, and the watchdog all run under the
-    // window barrier, so a 4-worker run must match a 1-worker run
-    // event for event — same kernel event count, same metrics, same
-    // epoch series, row by row.
+    // The full observability stack on a sweep: every worker thread runs
+    // its own chip with epoch cuts, trace export, attribution,
+    // invariants and the watchdog, so a 4-worker sweep must match a
+    // 1-worker sweep cell for cell — same kernel event count, same
+    // metrics, same epoch series, row by row. Worker threads resolve
+    // DebugConfig::current() from the process defaults.
     const std::string dir =
-        ::testing::TempDir() + "cbsim_obs_parallel";
+        ::testing::TempDir() + "cbsim_obs_workers";
     std::filesystem::remove_all(dir);
-    DebugConfig cfg = DebugConfig::current();
-    cfg.obs.epochTicks = 500;
-    cfg.obs.traceDir = dir;
-    cfg.obs.attribution = true;
-    cfg.checkInvariants = true;
-    cfg.noProgressWindow = 1'000'000;
-    cfg.checkIntervalEvents = 64;
-    cfg.wallTimeoutS = 600.0;
-    DebugScope scope(cfg);
+    DebugConfig& defaults = DebugConfig::processDefaults();
+    const DebugConfig saved = defaults;
+    defaults.obs.epochTicks = 500;
+    defaults.obs.traceDir = dir;
+    defaults.obs.attribution = true;
+    defaults.checkInvariants = true;
+    defaults.noProgressWindow = 1'000'000;
+    defaults.checkIntervalEvents = 64;
+    defaults.wallTimeoutS = 600.0;
 
     const auto at = [](unsigned workers) {
-        const unsigned saved = ChipConfig::defaultThreads();
-        ChipConfig::setDefaultThreads(workers);
-        ExperimentResult r = tinyMicro();
-        ChipConfig::setDefaultThreads(saved);
-        return r;
+        SweepRunner runner(workers);
+        for (const Technique t : {Technique::Invalidation,
+                                  Technique::BackOff10, Technique::CbAll,
+                                  Technique::CbOne})
+            runner.add(SweepJob::forMicro(techniqueName(t),
+                                          SyncMicro::TtasLock, t, 4, 2,
+                                          500));
+        return runner.run();
     };
-    const ExperimentResult t1 = at(1);
-    const ExperimentResult t4 = at(4);
+    const std::vector<JobOutcome> w1 = at(1);
+    const std::vector<JobOutcome> w4 = at(4);
+    defaults = saved;
 
-    EXPECT_EQ(t1.run.threads, t4.run.threads); // same domain layout
-    EXPECT_EQ(t1.run.events, t4.run.events);   // event-for-event
-    const auto f1 = t1.run.scalarFields();
-    const auto f4 = t4.run.scalarFields();
-    ASSERT_EQ(f1.size(), f4.size());
-    for (std::size_t i = 0; i < f1.size(); ++i) {
-        ASSERT_STREQ(f1[i].first, f4[i].first);
-        EXPECT_EQ(f1[i].second, f4[i].second) << f1[i].first;
+    ASSERT_EQ(w1.size(), w4.size());
+    for (std::size_t j = 0; j < w1.size(); ++j) {
+        ASSERT_TRUE(w1[j].ok) << w1[j].error;
+        ASSERT_TRUE(w4[j].ok) << w4[j].error;
+        const RunResult& r1 = w1[j].result.run;
+        const RunResult& r4 = w4[j].result.run;
+        EXPECT_EQ(r1.events, r4.events) << "job " << j;
+        const auto f1 = r1.scalarFields();
+        const auto f4 = r4.scalarFields();
+        ASSERT_EQ(f1.size(), f4.size());
+        for (std::size_t i = 0; i < f1.size(); ++i) {
+            ASSERT_STREQ(f1[i].first, f4[i].first);
+            EXPECT_EQ(f1[i].second, f4[i].second) << f1[i].first;
+        }
+        EXPECT_FALSE(r1.epochs.empty());
+        ASSERT_EQ(r1.epochs.size(), r4.epochs.size());
+        for (std::size_t i = 0; i < r1.epochs.size(); ++i)
+            EXPECT_EQ(r1.epochs[i], r4.epochs[i]) << "epoch " << i;
+        EXPECT_EQ(r1.contention, r4.contention);
     }
-    ASSERT_EQ(t1.run.epochs.size(), t4.run.epochs.size());
-    for (std::size_t i = 0; i < t1.run.epochs.size(); ++i)
-        EXPECT_EQ(t1.run.epochs[i], t4.run.epochs[i]) << "epoch " << i;
-    EXPECT_EQ(t1.run.contention, t4.run.contention);
 
-    // The trace exporter ran under the parallel kernel too.
+    // Every worker's trace exporter wrote its file.
     bool sawTrace = false;
     for (const auto& entry : std::filesystem::directory_iterator(dir))
         if (entry.path().string().ends_with(".trace.json"))

@@ -53,24 +53,26 @@ TEST(TraceExporter, EventKindsSerializeWithTheirPhases)
     const auto errs = test::validateTrace(json);
     EXPECT_TRUE(errs.empty()) << errs.front();
 
-    const test::JsonValue root = test::parseJson(json);
-    const auto& events = root.find("traceEvents")->array;
+    std::string error;
+    const JsonValue root = JsonValue::parse(json, error);
+    ASSERT_EQ(error, "");
+    const auto& events = root.get("traceEvents").items();
     // Metadata first (4 process names + 4 cores + 4 banks), then ours.
     ASSERT_EQ(events.size(), 12u + 5u);
-    const test::JsonValue& slice = events[12];
-    EXPECT_EQ(slice.find("name")->string, "spin");
-    EXPECT_EQ(slice.find("ph")->string, "X");
-    EXPECT_EQ(slice.find("ts")->number, 100.0);
-    EXPECT_EQ(slice.find("dur")->number, 150.0);
-    EXPECT_EQ(slice.find("tid")->number, 1.0);
+    const JsonValue& slice = events[12];
+    EXPECT_EQ(slice.get("name").text(), "spin");
+    EXPECT_EQ(slice.get("ph").text(), "X");
+    EXPECT_EQ(slice.get("ts").number(), 100.0);
+    EXPECT_EQ(slice.get("dur").number(), 150.0);
+    EXPECT_EQ(slice.get("tid").number(), 1.0);
 
-    const test::JsonValue& park = events[13];
-    EXPECT_EQ(park.find("ph")->string, "i");
-    EXPECT_EQ(park.find("args")->find("core")->number, 1.0);
+    const JsonValue& park = events[13];
+    EXPECT_EQ(park.get("ph").text(), "i");
+    EXPECT_EQ(park.get("args").get("core").number(), 1.0);
 
-    EXPECT_EQ(events[15].find("name")->string, "wake-evict");
-    EXPECT_EQ(events[16].find("ph")->string, "C");
-    EXPECT_EQ(events[16].find("args")->find("value")->number, 17.0);
+    EXPECT_EQ(events[15].get("name").text(), "wake-evict");
+    EXPECT_EQ(events[16].get("ph").text(), "C");
+    EXPECT_EQ(events[16].get("args").get("value").number(), 17.0);
 }
 
 TEST(TraceExporter, ContendedLineSlicesPairOnSymbolicNames)
@@ -78,28 +80,30 @@ TEST(TraceExporter, ContendedLineSlicesPairOnSymbolicNames)
     std::map<Addr, std::string> symbols{{0x1008, "lock0"}};
     TraceExporter t(2, 1);
     t.setSymbols(&symbols);
-    t.linePark(0, 0x1008, 1, 100); // 0x1008's line is labeled "lock0"
-    t.lineWake(0, 0x1008, 1, 200);
-    t.linePark(0, 0x2000, 0, 150); // unlabeled line: hex fallback
+    t.linePark(0x1008, 1, 100); // 0x1008's line is labeled "lock0"
+    t.lineWake(0x1008, 1, 200);
+    t.linePark(0x2000, 0, 150); // unlabeled line: hex fallback
 
     const std::string json = jsonOf(t);
     const auto errs = test::validateTrace(json);
     EXPECT_TRUE(errs.empty()) << errs.front();
 
-    const test::JsonValue root = test::parseJson(json);
-    const auto& events = root.find("traceEvents")->array;
+    std::string error;
+    const JsonValue root = JsonValue::parse(json, error);
+    ASSERT_EQ(error, "");
+    const auto& events = root.get("traceEvents").items();
     // 4 process metas + 2 core threads + 1 bank thread, then ours.
     ASSERT_EQ(events.size(), 7u + 3u);
-    const test::JsonValue& park = events[7];
-    const test::JsonValue& wakeEv = events[8];
-    EXPECT_EQ(park.find("name")->string, "lock0");
-    EXPECT_EQ(park.find("ph")->string, "b");
-    EXPECT_EQ(park.find("pid")->number, 4.0);
-    EXPECT_EQ(park.find("cat")->string, "contention");
-    EXPECT_EQ(wakeEv.find("ph")->string, "e");
+    const JsonValue& park = events[7];
+    const JsonValue& wakeEv = events[8];
+    EXPECT_EQ(park.get("name").text(), "lock0");
+    EXPECT_EQ(park.get("ph").text(), "b");
+    EXPECT_EQ(park.get("pid").number(), 4.0);
+    EXPECT_EQ(park.get("cat").text(), "contention");
+    EXPECT_EQ(wakeEv.get("ph").text(), "e");
     // The 'b'/'e' pair matches on the same async id.
-    EXPECT_EQ(park.find("id")->number, wakeEv.find("id")->number);
-    EXPECT_EQ(events[9].find("name")->string, "0x2000");
+    EXPECT_EQ(park.get("id").number(), wakeEv.get("id").number());
+    EXPECT_EQ(events[9].get("name").text(), "0x2000");
 }
 
 TEST(TraceExporter, WriteFileSanitizesTheLabel)

@@ -55,6 +55,49 @@ TEST(JsonValue, ReportsErrorsWithLineNumbers)
     EXPECT_EQ(v.getNumber("missing"), 0.0);
 }
 
+TEST(JsonValue, RejectsMalformedDocuments)
+{
+    // The one JSON reader in the tree must refuse everything a strict
+    // parser refuses, so tests can use it as a well-formedness check.
+    const char* const bad[] = {
+        "{} x",            // trailing characters
+        "[1, 2] ]",        // trailing characters
+        "[1, 2,]",         // trailing comma in an array
+        "{\"a\": 1,}",     // trailing comma in an object
+        "\"abc",           // unterminated string
+        "{\"a\": \"b}",    // unterminated string inside an object
+        "\"\\x\"",         // unknown escape
+        "\"\\uZZZZ\"",     // \u escape without hex digits
+        "\"\\u12\"",       // truncated \u escape
+        "tru",             // bad literal
+        "[nul]",           // bad literal
+        "falsey",          // bad literal
+        "1.",              // malformed number: no fraction digits
+        ".5",              // malformed number: no integer digits
+        "+1",              // malformed number: leading plus
+        "-",               // malformed number: sign only
+        "1e",              // malformed number: empty exponent
+        "1e+",             // malformed number: empty exponent
+        "1.2.3",           // malformed number
+        "[0x10]",          // malformed number
+        "",                // empty document
+    };
+    for (const char* text : bad) {
+        std::string err;
+        JsonValue::parse(text, err);
+        EXPECT_FALSE(err.empty()) << "accepted: " << text;
+    }
+    // The strict grammar still takes every number shape JsonWriter
+    // emits.
+    std::string err;
+    const JsonValue v =
+        JsonValue::parse("[0, -0, 12, -3.25, 1e5, 2.5E-3, 6e+2]", err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(v.items()[3].number(), -3.25);
+    EXPECT_EQ(v.items()[5].number(), 2.5e-3);
+    EXPECT_EQ(v.items()[6].text(), "6e+2");
+}
+
 /** A minimal two-run schema-v4 artifact, parsed. */
 JsonValue
 sampleArtifact(std::uint64_t invCycles, bool cbOk)

@@ -2,8 +2,8 @@
  * @file
  * Minimal Chrome trace-event JSON schema checker for tests.
  *
- * Parses a JSON document into a tiny DOM (no external dependency) and
- * validates the subset of the trace-event format cbsim emits
+ * Parses a document with cbsim's own JSON reader (report/json_value.hh)
+ * and validates the subset of the trace-event format cbsim emits
  * (docs/OBSERVABILITY.md): top-level otherData/displayTimeUnit/
  * traceEvents, per-event required fields by phase, known process ids.
  * Deliberately strict about what the exporter produces rather than
@@ -14,239 +14,12 @@
 #ifndef CBSIM_TESTS_SUPPORT_TRACE_SCHEMA_HH
 #define CBSIM_TESTS_SUPPORT_TRACE_SCHEMA_HH
 
-#include <cctype>
-#include <map>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "report/json_value.hh"
+
 namespace cbsim::test {
-
-/** One parsed JSON value (number precision: double — fine for tests). */
-struct JsonValue
-{
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-
-    bool isObject() const { return kind == Kind::Object; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isString() const { return kind == Kind::String; }
-    bool isNumber() const { return kind == Kind::Number; }
-
-    const JsonValue* find(const std::string& key) const
-    {
-        if (kind != Kind::Object)
-            return nullptr;
-        auto it = object.find(key);
-        return it == object.end() ? nullptr : &it->second;
-    }
-};
-
-/** Recursive-descent JSON parser; throws std::runtime_error on errors. */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string& text) : text_(text) {}
-
-    JsonValue parse()
-    {
-        const JsonValue v = parseValue();
-        skipWs();
-        if (pos_ != text_.size())
-            fail("trailing characters after document");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void fail(const std::string& what) const
-    {
-        throw std::runtime_error("json parse error at offset " +
-                                 std::to_string(pos_) + ": " + what);
-    }
-
-    void skipWs()
-    {
-        while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    char peek()
-    {
-        skipWs();
-        if (pos_ >= text_.size())
-            fail("unexpected end of document");
-        return text_[pos_];
-    }
-
-    void expect(char c)
-    {
-        if (peek() != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos_;
-    }
-
-    bool consumeIf(char c)
-    {
-        if (pos_ < text_.size() && peek() == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue parseValue()
-    {
-        switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
-          case '"': return parseString();
-          case 't':
-          case 'f': return parseBool();
-          case 'n': return parseNull();
-          default: return parseNumber();
-        }
-    }
-
-    JsonValue parseObject()
-    {
-        expect('{');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Object;
-        if (consumeIf('}'))
-            return v;
-        for (;;) {
-            JsonValue key = parseString();
-            expect(':');
-            v.object.emplace(std::move(key.string), parseValue());
-            if (consumeIf('}'))
-                return v;
-            expect(',');
-        }
-    }
-
-    JsonValue parseArray()
-    {
-        expect('[');
-        JsonValue v;
-        v.kind = JsonValue::Kind::Array;
-        if (consumeIf(']'))
-            return v;
-        for (;;) {
-            v.array.push_back(parseValue());
-            if (consumeIf(']'))
-                return v;
-            expect(',');
-        }
-    }
-
-    JsonValue parseString()
-    {
-        expect('"');
-        JsonValue v;
-        v.kind = JsonValue::Kind::String;
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            char c = text_[pos_++];
-            if (c == '\\') {
-                if (pos_ >= text_.size())
-                    fail("dangling escape");
-                const char esc = text_[pos_++];
-                switch (esc) {
-                  case '"': c = '"'; break;
-                  case '\\': c = '\\'; break;
-                  case '/': c = '/'; break;
-                  case 'n': c = '\n'; break;
-                  case 't': c = '\t'; break;
-                  case 'r': c = '\r'; break;
-                  case 'b': c = '\b'; break;
-                  case 'f': c = '\f'; break;
-                  case 'u':
-                    // Tests never need non-ASCII; keep the escape verbatim.
-                    if (pos_ + 4 > text_.size())
-                        fail("truncated \\u escape");
-                    v.string += "\\u" + text_.substr(pos_, 4);
-                    pos_ += 4;
-                    continue;
-                  default: fail("unknown escape");
-                }
-            }
-            v.string += c;
-        }
-        if (pos_ >= text_.size())
-            fail("unterminated string");
-        ++pos_; // closing quote
-        return v;
-    }
-
-    JsonValue parseBool()
-    {
-        JsonValue v;
-        v.kind = JsonValue::Kind::Bool;
-        if (text_.compare(pos_, 4, "true") == 0) {
-            v.boolean = true;
-            pos_ += 4;
-        } else if (text_.compare(pos_, 5, "false") == 0) {
-            v.boolean = false;
-            pos_ += 5;
-        } else {
-            fail("bad literal");
-        }
-        return v;
-    }
-
-    JsonValue parseNull()
-    {
-        if (text_.compare(pos_, 4, "null") != 0)
-            fail("bad literal");
-        pos_ += 4;
-        return JsonValue{};
-    }
-
-    JsonValue parseNumber()
-    {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E'))
-            ++pos_;
-        if (pos_ == start)
-            fail("expected a value");
-        JsonValue v;
-        v.kind = JsonValue::Kind::Number;
-        try {
-            v.number = std::stod(text_.substr(start, pos_ - start));
-        } catch (const std::exception&) {
-            fail("bad number");
-        }
-        return v;
-    }
-
-    const std::string& text_;
-    std::size_t pos_ = 0;
-};
-
-inline JsonValue
-parseJson(const std::string& text)
-{
-    return JsonParser(text).parse();
-}
 
 /**
  * Validate @p text against the cbsim trace-event schema.
@@ -256,120 +29,104 @@ inline std::vector<std::string>
 validateTrace(const std::string& text)
 {
     std::vector<std::string> errs;
-    JsonValue root;
-    try {
-        root = parseJson(text);
-    } catch (const std::exception& e) {
-        return {e.what()};
-    }
+    std::string error;
+    const JsonValue root = JsonValue::parse(text, error);
+    if (!error.empty())
+        return {error};
 
     if (!root.isObject())
         return {"top level is not an object"};
 
-    const JsonValue* other = root.find("otherData");
-    if (other == nullptr || !other->isObject()) {
+    const JsonValue& other = root.get("otherData");
+    if (!other.isObject()) {
         errs.push_back("missing otherData object");
     } else {
-        const JsonValue* schema = other->find("schema");
-        if (schema == nullptr || !schema->isString() ||
-            schema->string != "cbsim-trace-v1")
+        const JsonValue& schema = other.get("schema");
+        if (!schema.isString() || schema.text() != "cbsim-trace-v1")
             errs.push_back("otherData.schema is not cbsim-trace-v1");
     }
-    const JsonValue* unit = root.find("displayTimeUnit");
-    if (unit == nullptr || !unit->isString())
+    if (!root.get("displayTimeUnit").isString())
         errs.push_back("missing displayTimeUnit string");
 
-    const JsonValue* events = root.find("traceEvents");
-    if (events == nullptr || !events->isArray())
-        return [&] {
-            errs.push_back("missing traceEvents array");
-            return errs;
-        }();
+    const JsonValue& events = root.get("traceEvents");
+    if (!events.isArray()) {
+        errs.push_back("missing traceEvents array");
+        return errs;
+    }
 
-    for (std::size_t i = 0; i < events->array.size(); ++i) {
-        const JsonValue& ev = events->array[i];
+    for (std::size_t i = 0; i < events.items().size(); ++i) {
+        const JsonValue& ev = events.items()[i];
         const std::string at = "traceEvents[" + std::to_string(i) + "]";
         if (!ev.isObject()) {
             errs.push_back(at + " is not an object");
             continue;
         }
-        const JsonValue* name = ev.find("name");
-        if (name == nullptr || !name->isString() || name->string.empty())
+        const JsonValue& name = ev.get("name");
+        if (!name.isString() || name.text().empty())
             errs.push_back(at + " has no name");
-        const JsonValue* ph = ev.find("ph");
-        if (ph == nullptr || !ph->isString() || ph->string.size() != 1 ||
-            std::string("MXiCbestf").find(ph->string) ==
-                std::string::npos) {
+        const JsonValue& ph = ev.get("ph");
+        if (!ph.isString() || ph.text().size() != 1 ||
+            std::string("MXiCbestf").find(ph.text()) == std::string::npos) {
             errs.push_back(at + " has a bad ph");
             continue;
         }
-        const JsonValue* pid = ev.find("pid");
-        if (pid == nullptr || !pid->isNumber() ||
-            (pid->number != 1 && pid->number != 2 && pid->number != 3 &&
-             pid->number != 4))
+        const JsonValue& pid = ev.get("pid");
+        if (!pid.isNumber() ||
+            (pid.number() != 1 && pid.number() != 2 &&
+             pid.number() != 3 && pid.number() != 4))
             errs.push_back(at + " has an unknown pid");
 
-        const char phase = ph->string[0];
+        const char phase = ph.text()[0];
         // Only process-level metadata may omit the tid.
         const bool processMeta =
-            phase == 'M' && name != nullptr && name->isString() &&
-            name->string == "process_name";
-        if (!processMeta && ev.find("tid") == nullptr)
+            phase == 'M' && name.isString() &&
+            name.text() == "process_name";
+        if (!processMeta && ev.get("tid").isNull())
             errs.push_back(at + " has no tid");
         if (phase == 'M') {
-            if (name->string != "process_name" &&
-                name->string != "thread_name")
+            if (name.text() != "process_name" &&
+                name.text() != "thread_name")
                 errs.push_back(at + " metadata has unexpected name");
-            const JsonValue* args = ev.find("args");
-            const JsonValue* label =
-                args != nullptr ? args->find("name") : nullptr;
-            if (label == nullptr || !label->isString())
+            if (!ev.get("args").get("name").isString())
                 errs.push_back(at + " metadata lacks args.name");
             continue;
         }
-        const JsonValue* ts = ev.find("ts");
-        if (ts == nullptr || !ts->isNumber() || ts->number < 0)
+        const JsonValue& ts = ev.get("ts");
+        if (!ts.isNumber() || ts.number() < 0)
             errs.push_back(at + " has no valid ts");
         if (phase == 'X') {
-            const JsonValue* dur = ev.find("dur");
-            if (dur == nullptr || !dur->isNumber() || dur->number < 0)
+            const JsonValue& dur = ev.get("dur");
+            if (!dur.isNumber() || dur.number() < 0)
                 errs.push_back(at + " duration slice has no dur");
         }
-        if (phase == 'i') {
-            const JsonValue* s = ev.find("s");
-            if (s == nullptr || !s->isString())
-                errs.push_back(at + " instant has no scope");
-        }
+        if (phase == 'i' && !ev.get("s").isString())
+            errs.push_back(at + " instant has no scope");
         if (phase == 'C') {
-            const JsonValue* args = ev.find("args");
-            if (args == nullptr || !args->isObject() ||
-                args->object.empty())
+            const JsonValue& args = ev.get("args");
+            if (!args.isObject() || args.members().empty())
                 errs.push_back(at + " counter has no args");
         }
         if (phase == 'b' || phase == 'e') {
             // Async contended-line slices pair on (cat, id, name).
-            const JsonValue* cat = ev.find("cat");
-            if (cat == nullptr || !cat->isString())
+            if (!ev.get("cat").isString())
                 errs.push_back(at + " async event has no cat");
-            if (ev.find("id") == nullptr)
+            if (ev.get("id").isNull())
                 errs.push_back(at + " async event has no id");
-            if (pid != nullptr && pid->isNumber() && pid->number != 4)
+            if (pid.isNumber() && pid.number() != 4)
                 errs.push_back(at + " async event off the lines pid");
         }
         if (phase == 's' || phase == 't' || phase == 'f') {
             // Causal releaser→directory→waiter flow arrows triple-key
             // on (cat, id, name); the arrow head must bind to the
             // enclosing slice so it lands on the waiter's stall.
-            const JsonValue* cat = ev.find("cat");
-            if (cat == nullptr || !cat->isString() ||
-                cat->string != "causal-wake")
+            const JsonValue& cat = ev.get("cat");
+            if (!cat.isString() || cat.text() != "causal-wake")
                 errs.push_back(at + " flow event lacks causal-wake cat");
-            if (ev.find("id") == nullptr)
+            if (ev.get("id").isNull())
                 errs.push_back(at + " flow event has no id");
             if (phase == 'f') {
-                const JsonValue* bp = ev.find("bp");
-                if (bp == nullptr || !bp->isString() ||
-                    bp->string != "e")
+                const JsonValue& bp = ev.get("bp");
+                if (!bp.isString() || bp.text() != "e")
                     errs.push_back(at +
                                    " flow end lacks enclosing binding");
             }
