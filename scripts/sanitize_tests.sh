@@ -41,7 +41,7 @@ cmake -S "$src" -B "$bld" \
     echo "sanitize_tests: configure failed; see $bld.configure.log" >&2
     exit 1
 }
-cmake --build "$bld" \
+cmake --build "$bld" -j "$(nproc)" \
       --target sim_test noc_test debug_test soak_test \
                harness_test crash_safety_test \
       > "$bld.build.log" 2>&1 || {

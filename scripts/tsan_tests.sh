@@ -41,7 +41,7 @@ cmake -S "$src" -B "$bld" \
     echo "tsan_tests: configure failed; see $bld.configure.log" >&2
     exit 1
 }
-cmake --build "$bld" \
+cmake --build "$bld" -j "$(nproc)" \
       --target obs_test harness_test \
       > "$bld.build.log" 2>&1 || {
     echo "tsan_tests: build failed; see $bld.build.log" >&2

@@ -103,9 +103,51 @@ childMain(const SweepJob& job, const DebugConfig& dcfg, int fd,
 
 } // namespace
 
+void
+ForkGate::enter()
+{
+    std::unique_lock<std::mutex> lock(mutex_);
+    cv_.wait(lock, [this] { return !forking_; });
+    ++shares_;
+}
+
+void
+ForkGate::leave()
+{
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        --shares_;
+    }
+    cv_.notify_all();
+}
+
+ForkGate::Exclusive::Exclusive(ForkGate* gate) : gate_(gate)
+{
+    if (gate_ == nullptr)
+        return;
+    std::unique_lock<std::mutex> lock(gate_->mutex_);
+    --gate_->shares_;
+    gate_->cv_.wait(lock, [this] {
+        return !gate_->forking_ && gate_->shares_ == 0;
+    });
+    gate_->forking_ = true;
+}
+
+ForkGate::Exclusive::~Exclusive()
+{
+    if (gate_ == nullptr)
+        return;
+    {
+        std::lock_guard<std::mutex> lock(gate_->mutex_);
+        gate_->forking_ = false;
+        ++gate_->shares_;
+    }
+    gate_->cv_.notify_all();
+}
+
 JobOutcome
 runJobIsolated(const SweepJob& job, const DebugConfig& dcfg,
-               double hard_timeout_s, bool kill_child)
+               double hard_timeout_s, bool kill_child, ForkGate* gate)
 {
     JobOutcome out;
     out.ok = false;
@@ -113,20 +155,27 @@ runJobIsolated(const SweepJob& job, const DebugConfig& dcfg,
     out.result = ExperimentResult();
 
     int fds[2];
-    if (::pipe(fds) != 0)
-        fatal("--isolate: pipe() failed: ", std::strerror(errno));
-
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
+    pid_t pid;
+    {
+        // pipe + fork + closing the parent's write end all happen with
+        // no other pool thread active, so no sibling child inherits
+        // this pipe's write end (which would hold back our EOF until
+        // that sibling exits) and no lock is copied while held.
+        ForkGate::Exclusive exclusive(gate);
+        if (::pipe(fds) != 0)
+            fatal("--isolate: pipe() failed: ", std::strerror(errno));
+        pid = ::fork();
+        if (pid < 0) {
+            ::close(fds[0]);
+            ::close(fds[1]);
+            fatal("--isolate: fork() failed: ", std::strerror(errno));
+        }
+        if (pid == 0) {
+            ::close(fds[0]);
+            childMain(job, dcfg, fds[1], kill_child); // never returns
+        }
         ::close(fds[1]);
-        fatal("--isolate: fork() failed: ", std::strerror(errno));
     }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childMain(job, dcfg, fds[1], kill_child); // never returns
-    }
-    ::close(fds[1]);
 
     // Read the payload to EOF, SIGKILLing the child if it outlives the
     // hard backstop (the cooperative watchdog inside the child should
@@ -137,20 +186,25 @@ runJobIsolated(const SweepJob& job, const DebugConfig& dcfg,
                                ? static_cast<int>(hard_timeout_s * 1000.0)
                                : -1;
     for (;;) {
-        if (timeout_ms >= 0 && !hard_timed_out) {
-            struct pollfd pfd = {fds[0], POLLIN, 0};
-            int rc;
-            do {
-                rc = ::poll(&pfd, 1, timeout_ms);
-            } while (rc < 0 && errno == EINTR);
-            if (rc == 0) {
-                ::kill(pid, SIGKILL);
-                hard_timed_out = true;
-                // fall through: drain whatever the pipe still holds
-            }
-        }
         char chunk[4096];
-        const ssize_t n = ::read(fds[0], chunk, sizeof(chunk));
+        ssize_t n;
+        {
+            // Blocked on the child: only syscalls and the stack here.
+            ForkGate::Away away(gate);
+            if (timeout_ms >= 0 && !hard_timed_out) {
+                struct pollfd pfd = {fds[0], POLLIN, 0};
+                int rc;
+                do {
+                    rc = ::poll(&pfd, 1, timeout_ms);
+                } while (rc < 0 && errno == EINTR);
+                if (rc == 0) {
+                    ::kill(pid, SIGKILL);
+                    hard_timed_out = true;
+                    // fall through: drain whatever the pipe still holds
+                }
+            }
+            n = ::read(fds[0], chunk, sizeof(chunk));
+        }
         if (n < 0) {
             if (errno == EINTR)
                 continue;
@@ -164,9 +218,12 @@ runJobIsolated(const SweepJob& job, const DebugConfig& dcfg,
 
     int wstatus = 0;
     pid_t waited;
-    do {
-        waited = ::waitpid(pid, &wstatus, 0);
-    } while (waited < 0 && errno == EINTR);
+    {
+        ForkGate::Away away(gate);
+        do {
+            waited = ::waitpid(pid, &wstatus, 0);
+        } while (waited < 0 && errno == EINTR);
+    }
 
     if (hard_timed_out) {
         out.status = JobStatus::TimedOut;

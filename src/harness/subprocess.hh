@@ -24,10 +24,81 @@
 #ifndef CBSIM_HARNESS_SUBPROCESS_HH
 #define CBSIM_HARNESS_SUBPROCESS_HH
 
+#include <condition_variable>
+#include <mutex>
+
 #include "debug/debug_config.hh"
 #include "harness/sweep.hh"
 
 namespace cbsim {
+
+/**
+ * Makes fork(2) safe from a multithreaded sweep pool.
+ *
+ * A forked child inherits only the forking thread; a lock any other
+ * thread held at that instant stays locked in the child forever. glibc
+ * malloc re-arms its arenas across fork(2), but other allocators (the
+ * ASan runtime's among them) do not, so a child forked while a sibling
+ * worker was inside malloc can deadlock on its first allocation. The
+ * gate closes that window: every pool thread holds a *share* whenever
+ * it may touch the heap or another process-wide lock, gives it up only
+ * while blocked on a child, and a fork waits until no other thread
+ * holds a share. Shares never wait for a waiting fork, only for one in
+ * progress, so a thread that blocks while holding a share cannot
+ * deadlock the pool; it can only delay the next fork.
+ */
+class ForkGate
+{
+  public:
+    /** Take a share (blocks while a fork is in progress). */
+    void enter();
+    /** Give the calling thread's share back. */
+    void leave();
+
+    /** Scoped release of the caller's share around a blocking wait
+     * that touches neither the heap nor any shared lock. Null = no
+     * gate (single-threaded sweep). */
+    class Away
+    {
+      public:
+        explicit Away(ForkGate* gate) : gate_(gate)
+        {
+            if (gate_ != nullptr)
+                gate_->leave();
+        }
+        ~Away()
+        {
+            if (gate_ != nullptr)
+                gate_->enter();
+        }
+        Away(const Away&) = delete;
+        Away& operator=(const Away&) = delete;
+
+      private:
+        ForkGate* gate_;
+    };
+
+    /** Scoped exclusive section for a caller holding a share: on entry
+     * no other thread holds one, and none can take one until it ends.
+     * A forked child never leaves it (it only _exit()s). */
+    class Exclusive
+    {
+      public:
+        explicit Exclusive(ForkGate* gate);
+        ~Exclusive();
+        Exclusive(const Exclusive&) = delete;
+        Exclusive& operator=(const Exclusive&) = delete;
+
+      private:
+        ForkGate* gate_;
+    };
+
+  private:
+    std::mutex mutex_;
+    std::condition_variable cv_;
+    unsigned shares_ = 0;
+    bool forking_ = false;
+};
 
 /**
  * Run @p job to completion in a forked child.
@@ -44,11 +115,14 @@ namespace cbsim {
  *        SIGKILLs itself before running the job, simulating a hard
  *        crash. Decided in the parent so the fault counter lives in
  *        exactly one process.
+ * @param gate the pool's fork gate, of which the caller holds a share;
+ *        null when the caller is the only thread
  * @return the cell's outcome; `status == JobStatus::Crashed` when the
  *         child died without delivering a payload
  */
 JobOutcome runJobIsolated(const SweepJob& job, const DebugConfig& dcfg,
-                          double hard_timeout_s, bool kill_child);
+                          double hard_timeout_s, bool kill_child,
+                          ForkGate* gate = nullptr);
 
 } // namespace cbsim
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <mutex>
 #include <sstream>
 #include <thread>
@@ -120,7 +121,7 @@ SweepRunner::add(SweepJob job)
 }
 
 JobOutcome
-SweepRunner::runAttempts(std::size_t i)
+SweepRunner::runAttempts(std::size_t i, ForkGate* gate)
 {
     using Clock = std::chrono::steady_clock;
     const SweepJob& job = jobs_[i];
@@ -154,7 +155,7 @@ SweepRunner::runAttempts(std::size_t i)
             // for children too wedged to poll it.
             const double hard =
                 jobTimeoutS_ > 0.0 ? jobTimeoutS_ * 4.0 : 0.0;
-            out = runJobIsolated(job, dcfg, hard, kill_child);
+            out = runJobIsolated(job, dcfg, hard, kill_child, gate);
         } else {
             DebugScope scope(dcfg);
             try {
@@ -274,6 +275,14 @@ SweepRunner::run(
     enum : std::uint8_t { kPending = 0, kDone = 1, kDoneFailed = 2 };
     std::vector<std::atomic<std::uint8_t>> state(jobs_.size());
 
+    const unsigned n =
+        static_cast<unsigned>(std::min<std::size_t>(workers_,
+                                                    jobs_.size()));
+    // A pool forks (--isolate) from one thread while the others run,
+    // so it needs the fork gate (see ForkGate); one thread forks safely.
+    ForkGate fork_gate;
+    ForkGate* const gate = n > 1 ? &fork_gate : nullptr;
+
     // Workers claim jobs by submission index and write to disjoint
     // slots, so the only shared mutable state is the claim counter,
     // the completion states, and the progress callback.
@@ -306,7 +315,7 @@ SweepRunner::run(
                     continue;
                 }
             }
-            out = runAttempts(i);
+            out = runAttempts(i, gate);
             state[i].store(out.ok ? kDone : kDoneFailed);
             if (on_done) {
                 std::lock_guard<std::mutex> lock(done_mutex);
@@ -315,16 +324,29 @@ SweepRunner::run(
         }
     };
 
-    const unsigned n =
-        static_cast<unsigned>(std::min<std::size_t>(workers_,
-                                                    jobs_.size()));
     if (n <= 1) {
         worker();
     } else {
+        // Thread start-up and tear-down touch the heap outside the
+        // worker body, so no fork may overlap them: this thread holds
+        // a share until every worker holds its own, and a worker's
+        // thread ends only after every worker has left the job loop,
+        // when nothing forks any more.
+        std::latch started(n);
+        std::latch finished(n);
         std::vector<std::thread> pool;
         pool.reserve(n);
+        gate->enter();
         for (unsigned t = 0; t < n; ++t)
-            pool.emplace_back(worker);
+            pool.emplace_back([&] {
+                gate->enter();
+                started.count_down();
+                worker();
+                gate->leave();
+                finished.arrive_and_wait();
+            });
+        started.wait();
+        gate->leave();
         for (auto& t : pool)
             t.join();
     }

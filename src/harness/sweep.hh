@@ -24,6 +24,8 @@
 
 namespace cbsim {
 
+class ForkGate;
+
 /** How a sweep job builds its simulation. */
 enum class JobKind : std::uint8_t
 {
@@ -189,7 +191,7 @@ class SweepRunner
             {});
 
   private:
-    JobOutcome runAttempts(std::size_t i);
+    JobOutcome runAttempts(std::size_t i, ForkGate* gate);
     void reclassifyForBudget(std::vector<JobOutcome>& outcomes) const;
     void quarantine(const SweepJob& job, JobOutcome& out) const;
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -182,6 +183,58 @@ TEST(Isolation, WedgedChildTripsTheParentSideBackstop)
     EXPECT_NE(out.error.find("hard timeout"), std::string::npos)
         << out.error;
     EXPECT_NE(out.error.find("iso-wedged"), std::string::npos);
+}
+
+TEST(ForkGate, ExclusiveWaitsForEveryOtherShareAndBlocksNewOnes)
+{
+    ForkGate gate;
+    gate.enter(); // this thread is a worker holding its share
+
+    std::atomic<bool> holding{false};
+    std::atomic<bool> released{false};
+    std::thread busy([&] {
+        gate.enter();
+        holding = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        released = true;
+        gate.leave();
+    });
+    while (!holding)
+        std::this_thread::yield();
+
+    std::atomic<bool> entered{false};
+    std::thread late;
+    {
+        ForkGate::Exclusive exclusive(&gate);
+        EXPECT_TRUE(released) << "forked while another thread held a share";
+        late = std::thread([&] {
+            gate.enter();
+            entered = true;
+            gate.leave();
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        EXPECT_FALSE(entered) << "took a share during the fork";
+    }
+    late.join();
+    busy.join();
+    EXPECT_TRUE(entered);
+
+    // A share given up around a blocking wait lets another thread fork.
+    std::atomic<bool> forked{false};
+    {
+        ForkGate::Away away(&gate);
+        std::thread forker([&] {
+            gate.enter();
+            {
+                ForkGate::Exclusive exclusive(&gate);
+                forked = true;
+            }
+            gate.leave();
+        });
+        forker.join();
+    }
+    EXPECT_TRUE(forked);
+    gate.leave();
 }
 
 TEST(ResultSink, WriteFilePublishesAtomicallyAndLeavesNoTemp)
