@@ -18,6 +18,11 @@
 #      src/harness/harness_faults.cc (kHarnessFaultSites) and every
 #      crash-safety flag of the bench driver is documented in
 #      docs/ROBUSTNESS.md.
+#   7. Every CBSIM_* environment setting the docs show being set
+#      (`CBSIM_NAME=` in README.md, DESIGN.md, EXPERIMENTS.md or
+#      docs/*.md) is read somewhere under src/ as the string literal
+#      "CBSIM_NAME". CMake cache options declared in CMakeLists.txt
+#      (`option(CBSIM_...)`, `set(CBSIM_... CACHE ...)`) are exempt.
 #
 # Usage: scripts/check_docs.sh [repo-root]   (default: script's parent)
 
@@ -202,8 +207,22 @@ if [ -f docs/ROBUSTNESS.md ]; then
     done
 fi
 
+# ---- 7. documented CBSIM_* settings exist -----------------------------------
+cmake_opts=$(sed -n 's/^ *option(\(CBSIM_[A-Z_]*\).*/\1/p;
+                    s/^ *set(\(CBSIM_[A-Z_]*\) .*CACHE.*/\1/p' CMakeLists.txt)
+knobs=$(cat README.md DESIGN.md EXPERIMENTS.md docs/*.md 2>/dev/null \
+    | grep -o 'CBSIM_[A-Z_]*=' | tr -d '=' | sort -u)
+for k in $knobs; do
+    case " $(echo $cmake_opts) " in
+        *" $k "*) continue ;;
+    esac
+    if ! grep -rqF "\"$k\"" src; then
+        err "documented setting $k= is not read anywhere in src/"
+    fi
+done
+
 if [ "$fail" -eq 0 ]; then
     echo "check_docs: OK (subsystems, opcodes, invariants, links, stats," \
-         "crash-safety)"
+         "crash-safety, settings)"
 fi
 exit $fail

@@ -27,7 +27,6 @@
 #include "mem/addr.hh"
 #include "noc/message.hh" // WakePolicy
 #include "sim/types.hh"
-#include "obs/registry.hh"
 #include "stats/stats.hh"
 
 namespace cbsim {

@@ -5,7 +5,6 @@
 #include "obs/attribution.hh"
 #include "obs/causal.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace cbsim {
 
@@ -123,9 +122,6 @@ void
 MesiL1::access(MemRequest req)
 {
     CBSIM_ASSERT(!pending_, "core issued a second outstanding request");
-    CBSIM_TRACE(TraceCategory::L1, eq_.now(), req.addr,
-                "core " << core_ << " access op=" << int(req.op)
-                        << " addr=0x" << std::hex << req.addr);
     accesses_.inc();
     const MemOp op = canonicalOp(req.op);
     auto* line = array_.find(req.addr);
@@ -246,8 +242,6 @@ MesiL1::installAndComplete(const Message& msg)
 void
 MesiL1::handleMessage(const Message& msg)
 {
-    CBSIM_TRACE(TraceCategory::L1, eq_.now(), msg.addr,
-                "core " << core_ << " <- " << msg.toString());
     switch (msg.type) {
       case MsgType::Data:
         installAndComplete(msg);

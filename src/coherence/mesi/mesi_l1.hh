@@ -28,6 +28,9 @@
 
 namespace cbsim {
 
+class AttributionTable;
+class CausalTracker;
+
 /** Stable MESI states; I is represented by absence from the array. */
 enum class MesiState : std::uint8_t
 {
@@ -90,7 +93,7 @@ class MesiL1 : public L1Controller
      * stitcher (docs/OBSERVABILITY.md §Causal tracing); a timeout
      * unpark is recorded as a spurious wake.
      */
-    void setCausal(CausalShard* causal) { causal_ = causal; }
+    void setCausal(CausalTracker* causal) { causal_ = causal; }
 
   private:
     struct LineInfo
@@ -174,7 +177,7 @@ class MesiL1 : public L1Controller
     Counter spinWatchTimeouts_;
 
     AttributionTable* attr_ = nullptr;
-    CausalShard* causal_ = nullptr;
+    CausalTracker* causal_ = nullptr;
 };
 
 } // namespace cbsim

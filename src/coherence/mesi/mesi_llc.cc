@@ -7,7 +7,6 @@
 #include "mem/addr.hh"
 #include "obs/attribution.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace cbsim {
 
@@ -43,10 +42,6 @@ void
 MesiLlcBank::dispatch(const Message& msg)
 {
     const Addr line_addr = AddrLayout::lineAlign(msg.addr);
-    CBSIM_TRACE(TraceCategory::Llc, eq_.now(), line_addr,
-                "bank " << bank_ << " dispatch " << msg.toString()
-                        << (locks_.isLocked(line_addr) ? " [deferred]"
-                                                       : ""));
     if (locks_.isLocked(line_addr)) {
         locks_.defer(line_addr, [this, msg] { dispatch(msg); });
         return;

@@ -25,6 +25,8 @@
 
 namespace cbsim {
 
+class AttributionTable;
+
 /** Timing parameters of an LLC bank (Table 2). */
 struct LlcTiming
 {

@@ -17,7 +17,6 @@
 
 #include "mem/addr.hh"
 #include "sim/types.hh"
-#include "obs/registry.hh"
 #include "stats/stats.hh"
 
 namespace cbsim {

@@ -7,7 +7,6 @@
 #include "obs/causal.hh"
 #include "obs/trace_export.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace cbsim {
 
@@ -32,8 +31,6 @@ void
 VipsLlcBank::dispatch(const Message& msg)
 {
     const Addr line_addr = AddrLayout::lineAlign(msg.addr);
-    CBSIM_TRACE(TraceCategory::Llc, eq_.now(), line_addr,
-                "bank " << bank_ << " dispatch " << msg.toString());
     if (locks_.isLocked(line_addr)) {
         locks_.defer(line_addr, [this, msg] { dispatch(msg); });
         return;
@@ -154,9 +151,6 @@ VipsLlcBank::maybeInjectEviction()
     if (!res.evictionHappened)
         return;
     faults_->noteCbForcedEviction();
-    CBSIM_TRACE(TraceCategory::CbDir, eq_.now(), res.evictedWord,
-                "bank " << bank_ << " fault-injected eviction, "
-                        << res.evictedWaiters.size() << " waiters");
     handleEviction(res);
 }
 
@@ -306,10 +300,6 @@ VipsLlcBank::processWakes(Addr word, const std::vector<CoreId>& initial,
             trace_->wake(bank_, c, eq_.now(), evicted);
             trace_->lineWake(word, c, eq_.now());
         }
-        CBSIM_TRACE(TraceCategory::CbDir, eq_.now(), word,
-                    "bank " << bank_ << " wake core " << c << " word=0x"
-                            << std::hex << word << std::dec
-                            << (evicted ? " (eviction)" : ""));
         if (req.type == MsgType::GetCB) {
             // The wake-up message carries the (new or, on eviction,
             // current) value straight to the core: {callback, write,

@@ -29,6 +29,8 @@
 
 namespace cbsim {
 
+class AttributionTable;
+class CausalTracker;
 class FaultInjector;
 class TraceExporter;
 
@@ -84,7 +86,7 @@ class VipsLlcBank : public LlcBank
      * wake emits a releaser→directory→waiter flow arrow. Null
      * (default) costs one compare per site.
      */
-    void setCausal(CausalShard* causal) { causal_ = causal; }
+    void setCausal(CausalTracker* causal) { causal_ = causal; }
 
     void dumpDebug(JsonWriter& w) const override;
 
@@ -148,7 +150,7 @@ class VipsLlcBank : public LlcBank
     FaultInjector* faults_ = nullptr;
     TraceExporter* trace_ = nullptr;
     AttributionTable* attr_ = nullptr;
-    CausalShard* causal_ = nullptr;
+    CausalTracker* causal_ = nullptr;
 
     /** One parked blocked callback request plus its park tick. */
     struct Waiter

@@ -17,12 +17,13 @@
 #include "coherence/backoff/backoff.hh"
 #include "coherence/controller.hh"
 #include "isa/assembler.hh"
-#include "obs/registry.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
 namespace cbsim {
 
+class AttributionTable;
+class CausalTracker;
 class JsonWriter;
 class TraceExporter;
 
@@ -115,7 +116,7 @@ class Core : public Clocked
      * (docs/OBSERVABILITY.md §Causal tracing). Null (default) costs one
      * compare per completion.
      */
-    void setCausal(CausalShard* causal) { causal_ = causal; }
+    void setCausal(CausalTracker* causal) { causal_ = causal; }
 
   private:
     /** Clocked wake-up: resume execution (see scheduleTick sites). */
@@ -165,7 +166,7 @@ class Core : public Clocked
      * Stall cycles on blocking callback reads (ld_cb and callback
      * RMWs) — the time a core could spend in a power-saving pause
      * state instead of waiting (paper §2.1; quantified by
-     * bench_ablation_pause).
+     * bench_all --only ablation_pause).
      */
     Counter cbBlockedCycles_;
 
@@ -180,7 +181,7 @@ class Core : public Clocked
 
     TraceExporter* trace_ = nullptr;
     AttributionTable* attr_ = nullptr;
-    CausalShard* causal_ = nullptr;
+    CausalTracker* causal_ = nullptr;
 };
 
 } // namespace cbsim

@@ -60,7 +60,7 @@ EnergyBreakdown computeEnergy(const RunResult& r,
  * spinning on a cached copy or the LLC. Returns the saving in nJ for
  * @p r if every callback-blocked cycle ran at corePaused instead of
  * coreActive. (The paper explicitly leaves demonstrating this to future
- * work; bench_ablation_pause quantifies it in this model.)
+ * work; bench_all --only ablation_pause quantifies it in this model.)
  */
 double pauseSavings(const RunResult& r, const EnergyParams& params = {});
 

@@ -12,7 +12,6 @@
 
 #include <utility>
 
-#include "obs/registry.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 

@@ -7,7 +7,6 @@
 #include "debug/noc_tracker.hh"
 #include "obs/causal.hh"
 #include "sim/log.hh"
-#include "sim/trace.hh"
 
 namespace cbsim {
 
@@ -83,8 +82,6 @@ Mesh::send(Message msg)
     packetsByType_[static_cast<std::size_t>(msg.type)].inc();
     if (causal_ != nullptr)
         recordCausalTraffic(msg);
-    CBSIM_TRACE(TraceCategory::Noc, eq_.now(), msg.addr,
-                "inject " << msg.toString());
 
     if (tracker_ != nullptr || faults_ != nullptr) {
         sendDebug(std::move(msg));

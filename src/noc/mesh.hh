@@ -17,7 +17,6 @@
 
 #include "noc/message.hh"
 #include "noc/router.hh"
-#include "obs/registry.hh"
 #include "sim/event_queue.hh"
 #include "stats/stats.hh"
 
@@ -25,7 +24,7 @@ namespace cbsim {
 
 class NocTracker;
 class FaultInjector;
-struct CausalShard;
+class CausalTracker;
 
 /** Static mesh parameters (paper Table 2 defaults). */
 struct NocConfig
@@ -92,7 +91,7 @@ class Mesh
      * traffic to the matching causal segment (noc_request / noc_wake).
      * Null (default) costs one compare per injection.
      */
-    void setCausal(CausalShard* causal) { causal_ = causal; }
+    void setCausal(CausalTracker* causal) { causal_ = causal; }
 
   private:
     // X-Y decomposition runs twice per routed hop (millions of times
@@ -135,7 +134,7 @@ class Mesh
     std::vector<MessageHandler> bankHandlers_;
     NocTracker* tracker_ = nullptr;
     FaultInjector* faults_ = nullptr;
-    CausalShard* causal_ = nullptr;
+    CausalTracker* causal_ = nullptr;
 
     /** Cold path of send(): classify traffic for the causal stitcher. */
     void recordCausalTraffic(const Message& msg);

@@ -74,18 +74,16 @@ CausalTracker::rows() const
     // dispatch order. A core has one outstanding memory op, so
     // (core, issue) is unique for stalls; stable_sort keeps transition
     // ties at (core, tick) in execution order.
-    std::vector<CausalShard::Stall> stalls = shard_.stalls;
+    std::vector<Stall> stalls = stalls_;
     std::stable_sort(stalls.begin(), stalls.end(),
-                     [](const CausalShard::Stall& a,
-                        const CausalShard::Stall& b) {
+                     [](const Stall& a, const Stall& b) {
                          if (a.core != b.core)
                              return a.core < b.core;
                          return a.issue < b.issue;
                      });
-    std::vector<CausalShard::Transition> trans = shard_.transitions;
+    std::vector<Transition> trans = transitions_;
     std::stable_sort(trans.begin(), trans.end(),
-                     [](const CausalShard::Transition& a,
-                        const CausalShard::Transition& b) {
+                     [](const Transition& a, const Transition& b) {
                          if (a.core != b.core)
                              return a.core < b.core;
                          return a.tick < b.tick;
@@ -104,7 +102,7 @@ CausalTracker::rows() const
     CoreId mapCore = invalidCore;
 
     std::size_t ti = 0; // transition cursor, advances with the stalls
-    for (const CausalShard::Stall& st : stalls) {
+    for (const Stall& st : stalls) {
         if (st.core != mapCore) {
             lastWakeSpurious.clear();
             mapCore = st.core;
@@ -131,7 +129,7 @@ CausalTracker::rows() const
         Tick parkTick = 0;
         while (ti < trans.size() && trans[ti].core == st.core &&
                trans[ti].tick <= st.complete) {
-            const CausalShard::Transition& t = trans[ti];
+            const Transition& t = trans[ti];
             ++ti;
             if (AddrLayout::lineAlign(t.key) != line)
                 continue; // defensive: stray transition on another line
@@ -201,9 +199,9 @@ CausalTracker::rows() const
         r.cycles = acc[i].cycles;
         r.count = acc[i].count;
         if (s == CausalSegment::NocRequest)
-            r.flitHops = shard_.requestFlitHops;
+            r.flitHops = requestFlitHops_;
         else if (s == CausalSegment::NocWake)
-            r.flitHops = shard_.wakeFlitHops;
+            r.flitHops = wakeFlitHops_;
         r.p50 = acc[i].hist.p50();
         r.p95 = acc[i].hist.p95();
         r.p99 = acc[i].hist.p99();

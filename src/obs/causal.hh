@@ -7,8 +7,8 @@
  * The existing metrics say *how long* waiters stalled (sync
  * percentiles, park_ticks histograms); this layer says *where the time
  * went*. Instrumentation in the core resume path, all three coherence
- * protocols, and the NoC appends plain records into one shard; after
- * the run the tracker stitches them into an exact
+ * protocols, and the NoC appends plain records into one tracker; after
+ * the run it stitches them into an exact
  * partition of `stall_cycles` by segment:
  *
  *   - `noc_request`  — issue until the waiter parks (request travel +
@@ -93,9 +93,16 @@ struct CausalRow
 /** JSON field names of one causal[] row, serialization order. */
 extern const std::vector<std::string> kCausalFields;
 
-/** The append target every instrumented component writes into. */
-struct CausalShard
+/**
+ * The run-wide causal tracker: the append target every instrumented
+ * component writes into, and the stitcher that turns the records into
+ * causal[] rows. Wiring mirrors AttributionTable: each component holds
+ * a CausalTracker* (null = off), and the Chip calls rows() after the
+ * run.
+ */
+class CausalTracker
 {
+  public:
     /** A completed core memory-stall window [issue, complete). */
     struct Stall
     {
@@ -118,45 +125,29 @@ struct CausalShard
         bool spurious = false; ///< wake only: eviction / watch timeout
     };
 
-    std::vector<Stall> stalls;
-    std::vector<Transition> transitions;
-    std::uint64_t requestFlitHops = 0; ///< sync/spin request traffic
-    std::uint64_t wakeFlitHops = 0;    ///< wake/invalidation traffic
-
     void
     recordStall(CoreId core, Addr addr, Tick issue, Tick complete,
                 bool cb, bool spin, bool sync)
     {
-        stalls.push_back(Stall{issue, complete, addr, core, cb, spin,
-                               sync});
+        stalls_.push_back(Stall{issue, complete, addr, core, cb, spin,
+                                sync});
     }
 
     void
     recordPark(Addr key, CoreId core, Tick tick)
     {
-        transitions.push_back(Transition{tick, key, core, false, false});
+        transitions_.push_back(Transition{tick, key, core, false, false});
     }
 
     void
     recordWake(Addr key, CoreId core, Tick tick, bool spurious)
     {
-        transitions.push_back(Transition{tick, key, core, true,
-                                         spurious});
+        transitions_.push_back(Transition{tick, key, core, true,
+                                          spurious});
     }
 
-    void addRequestHops(std::uint64_t h) { requestFlitHops += h; }
-    void addWakeHops(std::uint64_t h) { wakeFlitHops += h; }
-};
-
-/**
- * The run-wide tracker: owns the CausalShard. Wiring mirrors
- * AttributionTable: each component holds a CausalShard* (null = off),
- * and the Chip calls rows() after the run.
- */
-class CausalTracker
-{
-  public:
-    CausalShard& shard() { return shard_; }
+    void addRequestHops(std::uint64_t h) { requestFlitHops_ += h; }
+    void addWakeHops(std::uint64_t h) { wakeFlitHops_ += h; }
 
     /**
      * Stitch the records into the segment partition. Sorts records by
@@ -166,7 +157,10 @@ class CausalTracker
     std::vector<CausalRow> rows() const;
 
   private:
-    CausalShard shard_;
+    std::vector<Stall> stalls_;
+    std::vector<Transition> transitions_;
+    std::uint64_t requestFlitHops_ = 0; ///< sync/spin request traffic
+    std::uint64_t wakeFlitHops_ = 0;    ///< wake/invalidation traffic
 };
 
 } // namespace cbsim

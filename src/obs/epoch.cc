@@ -16,7 +16,7 @@ const std::array<const char*, 5> EpochSampler::kFieldNames = {
     "blocked_cores",
 };
 
-EpochSampler::EpochSampler(const StatSet& stats,
+EpochSampler::EpochSampler(const StatsRegistry& stats,
                            std::function<std::uint64_t()> blocked_cores)
     : stats_(stats), blockedCores_(std::move(blocked_cores))
 {}

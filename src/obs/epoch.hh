@@ -29,7 +29,7 @@
 namespace cbsim {
 
 class EventQueue;
-class StatSet;
+class StatsRegistry;
 class TraceExporter;
 
 /** One epoch window's activity (deltas unless noted). */
@@ -58,7 +58,7 @@ class EpochSampler
      * @param stats         the chip's registry (read at boundaries)
      * @param blocked_cores probe counting cores blocked on memory
      */
-    EpochSampler(const StatSet& stats,
+    EpochSampler(const StatsRegistry& stats,
                  std::function<std::uint64_t()> blocked_cores);
 
     /** Install the boundary hook on @p eq, cutting every @p epochTicks. */
@@ -72,7 +72,7 @@ class EpochSampler
   private:
     void onEpoch(Tick boundary);
 
-    const StatSet& stats_;
+    const StatsRegistry& stats_;
     std::function<std::uint64_t()> blockedCores_;
     TraceExporter* trace_ = nullptr;
     std::vector<EpochRow> rows_;

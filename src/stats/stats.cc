@@ -77,8 +77,32 @@ HistogramData::mean() const
                  : 0.0;
 }
 
+StatsScope
+StatsScope::scope(const std::string& name) const
+{
+    return StatsScope(*reg_, prefix_ + name + ".");
+}
+
+std::string
+StatsScope::qualify(const std::string& name) const
+{
+    return prefix_ + name;
+}
+
 void
-StatSet::add(const std::string& name, Counter& c)
+StatsScope::add(const std::string& name, Counter& c) const
+{
+    reg_->add(qualify(name), c);
+}
+
+void
+StatsScope::add(const std::string& name, Histogram& h) const
+{
+    reg_->add(qualify(name), h);
+}
+
+void
+StatsRegistry::add(const std::string& name, Counter& c)
 {
     auto [it, inserted] = counters_.emplace(name, &c);
     (void)it;
@@ -87,7 +111,7 @@ StatSet::add(const std::string& name, Counter& c)
 }
 
 void
-StatSet::add(const std::string& name, Histogram& h)
+StatsRegistry::add(const std::string& name, Histogram& h)
 {
     auto [it, inserted] = histograms_.emplace(name, &h);
     (void)it;
@@ -95,17 +119,8 @@ StatSet::add(const std::string& name, Histogram& h)
         panic("duplicate histogram registration: ", name);
 }
 
-void
-StatSet::add(const std::string& name, AttributionTable& t)
-{
-    auto [it, inserted] = attributions_.emplace(name, &t);
-    (void)it;
-    if (!inserted)
-        panic("duplicate attribution registration: ", name);
-}
-
 std::uint64_t
-StatSet::counter(const std::string& name) const
+StatsRegistry::counter(const std::string& name) const
 {
     auto it = counters_.find(name);
     if (it == counters_.end())
@@ -114,13 +129,13 @@ StatSet::counter(const std::string& name) const
 }
 
 bool
-StatSet::hasCounter(const std::string& name) const
+StatsRegistry::hasCounter(const std::string& name) const
 {
     return counters_.count(name) != 0;
 }
 
 const Histogram&
-StatSet::histogram(const std::string& name) const
+StatsRegistry::histogram(const std::string& name) const
 {
     auto it = histograms_.find(name);
     if (it == histograms_.end())
@@ -129,101 +144,18 @@ StatSet::histogram(const std::string& name) const
 }
 
 std::uint64_t
-StatSet::sumByPrefix(const std::string& prefix) const
+StatsRegistry::sumWhere(const std::string& prefix,
+                        const std::string& suffix) const
 {
     std::uint64_t total = 0;
-    for (auto it = counters_.lower_bound(prefix); it != counters_.end();
-         ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        total += it->second->value();
-    }
-    return total;
-}
-
-namespace {
-
-bool
-matchesWhere(const std::string& name, const std::string& prefix,
-             const std::string& suffix)
-{
-    if (name.size() < prefix.size() + suffix.size())
-        return false;
-    if (name.compare(0, prefix.size(), prefix) != 0)
-        return false;
-    return name.compare(name.size() - suffix.size(), suffix.size(),
-                        suffix) == 0;
-}
-
-} // namespace
-
-std::uint64_t
-StatSet::sumWhere(const std::string& prefix, const std::string& suffix) const
-{
-    std::uint64_t total = 0;
-    for (auto it = counters_.lower_bound(prefix); it != counters_.end();
-         ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        if (matchesWhere(it->first, prefix, suffix))
+    for (auto it = counters_.lower_bound(prefix);
+         it != counters_.end() && it->first.starts_with(prefix); ++it) {
+        const std::string& name = it->first;
+        if (name.size() >= prefix.size() + suffix.size() &&
+            name.ends_with(suffix))
             total += it->second->value();
     }
     return total;
-}
-
-HistogramData
-StatSet::mergeWhere(const std::string& prefix,
-                    const std::string& suffix) const
-{
-    HistogramData merged;
-    for (auto it = histograms_.lower_bound(prefix); it != histograms_.end();
-         ++it) {
-        if (it->first.compare(0, prefix.size(), prefix) != 0)
-            break;
-        if (matchesWhere(it->first, prefix, suffix))
-            merged.merge(it->second->data());
-    }
-    return merged;
-}
-
-void
-StatSet::resetAll()
-{
-    for (auto& [name, c] : counters_)
-        c->reset();
-    for (auto& [name, h] : histograms_)
-        h->reset();
-}
-
-void
-StatSet::dump(std::ostream& os) const
-{
-    for (const auto& [name, c] : counters_)
-        os << name << " = " << c->value() << '\n';
-    for (const auto& [name, h] : histograms_) {
-        os << name << " = {count=" << h->count() << " mean=" << h->mean()
-           << " min=" << h->min() << " max=" << h->max() << "}\n";
-    }
-}
-
-std::vector<std::string>
-StatSet::counterNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto& [name, c] : counters_)
-        names.push_back(name);
-    return names;
-}
-
-std::vector<std::string>
-StatSet::histogramNames() const
-{
-    std::vector<std::string> names;
-    names.reserve(histograms_.size());
-    for (const auto& [name, h] : histograms_)
-        names.push_back(name);
-    return names;
 }
 
 double

@@ -2,11 +2,10 @@
  * @file
  * Lightweight named-statistics package (counters, histograms, registry).
  *
- * Components own Counter/Histogram members and register them in a StatSet
- * so that a run can be dumped, diffed, or aggregated by the harness. The
- * observability layer (src/obs) builds on this: StatsRegistry adds
- * hierarchical scoping and mergeable snapshots, the epoch sampler and
- * trace exporter read live values through the same registry.
+ * Components own Counter/Histogram members and register them in a
+ * StatsRegistry under hierarchical names; RunResult and the epoch
+ * sampler (src/obs) read live values back through it
+ * (docs/OBSERVABILITY.md).
  */
 
 #ifndef CBSIM_STATS_STATS_HH
@@ -15,7 +14,6 @@
 #include <array>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -40,10 +38,10 @@ class Counter
 /**
  * The plain-data state of a histogram: moments plus power-of-two
  * buckets. Separated from the live Histogram so distributions can be
- * snapshotted, serialized, and *merged* across independent simulations
- * (sweep jobs): merge is associative and commutative, so aggregating
- * per-job distributions gives identical bytes regardless of job order
- * or worker count (tests/obs/histogram_test.cpp asserts this).
+ * copied out of a component and *merged* (the attribution fold does
+ * this per line): merge is associative and commutative, so the result
+ * does not depend on fold order (tests/obs/histogram_test.cpp asserts
+ * this).
  */
 struct HistogramData
 {
@@ -113,27 +111,62 @@ class Histogram
     HistogramData data_;
 };
 
-// Attribution shards (src/obs/attribution.hh) register alongside
-// counters; StatSet stores only pointers so src/stats stays below
-// src/obs in the layering. Causal shards (src/obs/causal.hh) are
-// forward-declared here for the same layering reason: components hold
-// only a CausalShard* behind their setCausal hooks.
-class AttributionTable;
-struct CausalShard;
+class StatsRegistry;
 
 /**
- * A registry mapping dotted stat names ("llc.accesses") to live counters
- * and histograms owned by components.
+ * A registration handle for one level of the stat-name hierarchy.
+ * Cheap to copy; valid as long as the registry it came from.
  */
-class StatSet
+class StatsScope
 {
   public:
-    /** Register a counter under @p name; the counter must outlive the set. */
+    /** Child scope: names gain "<name>." below this scope's prefix. */
+    StatsScope scope(const std::string& name) const;
+
+    void add(const std::string& name, Counter& c) const;
+    void add(const std::string& name, Histogram& h) const;
+
+    /** Fully-qualified name of @p name under this scope. */
+    std::string qualify(const std::string& name) const;
+
+    const std::string& prefix() const { return prefix_; }
+
+  private:
+    friend class StatsRegistry;
+    StatsScope(StatsRegistry& reg, std::string prefix)
+        : reg_(&reg), prefix_(std::move(prefix))
+    {}
+
+    StatsRegistry* reg_;
+    std::string prefix_; ///< "" at the root, else "llc.3." (trailing dot)
+};
+
+/**
+ * A registry mapping dotted stat names ("llc.3.accesses") to live
+ * counters and histograms owned by components.
+ *
+ * A component receives a StatsScope naming its position in the
+ * hierarchy ("llc.3") and registers members relative to it —
+ * scope.add("accesses", c) yields "llc.3.accesses", scope.scope("cbdir")
+ * hands a child component its own sub-scope — so every name follows
+ * <subsystem>.<instance>.<stat>.
+ */
+class StatsRegistry
+{
+  public:
+    /** The root scope (names registered verbatim). */
+    StatsScope root() { return StatsScope(*this, ""); }
+
+    /** A top-level scope, e.g. scope("core.0"). */
+    StatsScope scope(const std::string& prefix)
+    {
+        return root().scope(prefix);
+    }
+
+    /** Register a counter under @p name; it must outlive the registry. */
     void add(const std::string& name, Counter& c);
     /** Register a histogram under @p name. */
     void add(const std::string& name, Histogram& h);
-    /** Register a contention attribution shard under @p name. */
-    void add(const std::string& name, AttributionTable& t);
 
     /** Value of a registered counter; fatal if missing. */
     std::uint64_t counter(const std::string& name) const;
@@ -141,9 +174,6 @@ class StatSet
     const Histogram& histogram(const std::string& name) const;
 
     bool hasCounter(const std::string& name) const;
-
-    /** Sum of all counters whose name starts with @p prefix. */
-    std::uint64_t sumByPrefix(const std::string& prefix) const;
 
     /**
      * Sum of every counter named "<prefix>...<suffix>" — the scalar
@@ -153,40 +183,9 @@ class StatSet
     std::uint64_t sumWhere(const std::string& prefix,
                            const std::string& suffix) const;
 
-    /**
-     * Merged distribution of every histogram named
-     * "<prefix>...<suffix>" (e.g. per-core wake latencies folded into
-     * one chip-wide distribution). Empty data if none match.
-     */
-    HistogramData mergeWhere(const std::string& prefix,
-                             const std::string& suffix) const;
-
-    /** Reset every registered statistic to zero. */
-    void resetAll();
-
-    /** Human-readable dump, sorted by name. */
-    void dump(std::ostream& os) const;
-
-    std::vector<std::string> counterNames() const;
-    std::vector<std::string> histogramNames() const;
-
-    /**
-     * Every registered attribution shard, in name order. Chip folds
-     * these into RunResult::contention after a run; resetAll() does not
-     * touch them (shards are recreated per run by their owner).
-     */
-    const std::map<std::string, AttributionTable*>&
-    attributionShards() const
-    {
-        return attributions_;
-    }
-
-  protected:
-    // The observability registry (src/obs) extends this class with
-    // scoped registration and snapshotting over the same maps.
+  private:
     std::map<std::string, Counter*> counters_;
     std::map<std::string, Histogram*> histograms_;
-    std::map<std::string, AttributionTable*> attributions_;
 };
 
 /** Geometric mean of @p values; values must be positive. */

@@ -113,37 +113,32 @@ Chip::buildObs()
     }
 
     if (obs.attributionEnabled()) {
-        // One bounded shard per instrumented component, registered as
-        // "<scope>.attr". Shards for components without attribution
-        // sites (VIPS L1s) are not created.
-        auto shard = [this](const std::string& scope) {
+        // One bounded shard per instrumented component. Shards for
+        // components without attribution sites (VIPS L1s) are not
+        // created.
+        auto shard = [this] {
             attrShards_.push_back(std::make_unique<AttributionTable>());
-            stats_.scope(scope).add("attr", *attrShards_.back());
             return attrShards_.back().get();
         };
-        for (CoreId i = 0; i < cfg_.numCores; ++i)
-            cores_[i]->setAttribution(shard("core." + std::to_string(i)));
-        for (std::size_t i = 0; i < mesiL1s_.size(); ++i)
-            mesiL1s_[i]->setAttribution(
-                shard("l1." + std::to_string(i)));
-        for (std::size_t i = 0; i < mesiBanks_.size(); ++i)
-            mesiBanks_[i]->setAttribution(
-                shard("llc." + std::to_string(i)));
-        for (std::size_t i = 0; i < vipsBanks_.size(); ++i)
-            vipsBanks_[i]->setAttribution(
-                shard("llc." + std::to_string(i)));
+        for (auto& core : cores_)
+            core->setAttribution(shard());
+        for (MesiL1* l1 : mesiL1s_)
+            l1->setAttribution(shard());
+        for (MesiLlcBank* bank : mesiBanks_)
+            bank->setAttribution(shard());
+        for (VipsLlcBank* bank : vipsBanks_)
+            bank->setAttribution(shard());
     }
 
     if (obs.causalEnabled()) {
         causal_ = std::make_unique<CausalTracker>();
-        CausalShard* shard = &causal_->shard();
         for (auto& core : cores_)
-            core->setCausal(shard);
+            core->setCausal(causal_.get());
         for (MesiL1* l1 : mesiL1s_)
-            l1->setCausal(shard);
+            l1->setCausal(causal_.get());
         for (VipsLlcBank* bank : vipsBanks_)
-            bank->setCausal(shard);
-        mesh_.setCausal(shard);
+            bank->setCausal(causal_.get());
+        mesh_.setCausal(causal_.get());
     }
 
     if (trace_ != nullptr)

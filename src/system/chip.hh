@@ -23,8 +23,8 @@
 #include "core/core.hh"
 #include "mem/data_store.hh"
 #include "mem/memory_model.hh"
-#include "obs/registry.hh"
 #include "sim/event_queue.hh"
+#include "stats/stats.hh"
 #include "system/chip_config.hh"
 #include "system/run_result.hh"
 
@@ -125,7 +125,8 @@ class Chip
 
     /**
      * Contention attribution shards (one per instrumented component,
-     * registered as "<scope>.attr"); empty when attribution is off.
+     * folded into RunResult::contention after the run); empty when
+     * attribution is off.
      */
     std::vector<std::unique_ptr<AttributionTable>> attrShards_;
 

@@ -5,32 +5,25 @@
 
 namespace cbsim {
 
-std::uint64_t
-RunResult::sumWhere(const StatSet& stats, const std::string& prefix,
-                    const std::string& suffix)
-{
-    return stats.sumWhere(prefix, suffix);
-}
-
 RunResult
-RunResult::fromStats(const StatSet& stats, const SyncStats& sync_stats,
+RunResult::fromStats(const StatsRegistry& stats, const SyncStats& sync_stats,
                      Tick cycles)
 {
     RunResult r;
     r.cycles = cycles;
-    r.llcAccesses = sumWhere(stats, "llc.", ".accesses");
-    r.llcSyncAccesses = sumWhere(stats, "llc.", ".sync_accesses");
-    r.l1Accesses = sumWhere(stats, "l1.", ".accesses");
-    r.cbdirAccesses = sumWhere(stats, "llc.", ".cbdir_accesses");
+    r.llcAccesses = stats.sumWhere("llc.", ".accesses");
+    r.llcSyncAccesses = stats.sumWhere("llc.", ".sync_accesses");
+    r.l1Accesses = stats.sumWhere("l1.", ".accesses");
+    r.cbdirAccesses = stats.sumWhere("llc.", ".cbdir_accesses");
     r.flitHops = stats.counter("noc.flit_hops");
     r.packets = stats.counter("noc.packets");
     r.memReads = stats.counter("mem.reads");
-    r.instructions = sumWhere(stats, "core.", ".instructions");
-    r.invalidationsSent = sumWhere(stats, "llc.", ".invs_sent");
-    r.cbWakeups = sumWhere(stats, "llc.", ".wakes_sent");
-    r.cbdirEvictions = sumWhere(stats, "llc.", ".cbdir.evictions");
-    r.stallCycles = sumWhere(stats, "core.", ".stall_cycles");
-    r.cbBlockedCycles = sumWhere(stats, "core.", ".cb_blocked_cycles");
+    r.instructions = stats.sumWhere("core.", ".instructions");
+    r.invalidationsSent = stats.sumWhere("llc.", ".invs_sent");
+    r.cbWakeups = stats.sumWhere("llc.", ".wakes_sent");
+    r.cbdirEvictions = stats.sumWhere("llc.", ".cbdir.evictions");
+    r.stallCycles = stats.sumWhere("core.", ".stall_cycles");
+    r.cbBlockedCycles = stats.sumWhere("core.", ".cb_blocked_cycles");
 
     for (std::size_t k = 0; k < SyncStats::numKinds; ++k) {
         const auto& h = sync_stats.latency[k];

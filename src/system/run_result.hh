@@ -91,13 +91,9 @@ struct RunResult
      */
     std::vector<CausalRow> causal;
 
-    /** Sum counters named "<any prefix>.<suffix>" starting with prefix. */
-    static std::uint64_t sumWhere(const StatSet& stats,
-                                  const std::string& prefix,
-                                  const std::string& suffix);
-
     /** Extract every metric from a finished run's stats. */
-    static RunResult fromStats(const StatSet& stats, const SyncStats& sync,
+    static RunResult fromStats(const StatsRegistry& stats,
+                               const SyncStats& sync,
                                Tick cycles);
 
     /**

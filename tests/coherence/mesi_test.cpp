@@ -92,8 +92,7 @@ TEST_F(MesiFixture, WriterInvalidatesSharers)
     EXPECT_EQ(*mesiL1(*chip, 0).lineState(kFlag), MesiState::M);
     for (CoreId c : {1u, 2u, 3u})
         EXPECT_FALSE(mesiL1(*chip, c).lineState(kFlag).has_value());
-    EXPECT_GE(RunResult::sumWhere(chip->stats(), "llc.", ".invs_sent"),
-              3u);
+    EXPECT_GE(chip->stats().sumWhere("llc.", ".invs_sent"), 3u);
 }
 
 TEST_F(MesiFixture, SpinnerSpinsLocallyUntilInvalidated)

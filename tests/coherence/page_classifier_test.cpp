@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "coherence/vips/page_classifier.hh"
-#include "obs/registry.hh"
+#include "stats/stats.hh"
 
 namespace cbsim {
 namespace {

@@ -34,8 +34,7 @@ struct VipsFixture : ::testing::Test
     std::uint64_t
     llcSync() const
     {
-        return RunResult::sumWhere(
-            const_cast<Chip&>(*chip).stats(), "llc.", ".sync_accesses");
+        return chip->stats().sumWhere("llc.", ".sync_accesses");
     }
 };
 
@@ -311,9 +310,7 @@ TEST_F(VipsFixture, DirectoryEvictionPreservesLiveness)
     for (CoreId c : {1u, 2u, 3u})
         EXPECT_EQ(chip->core(c).reg(2), 1u);
     // With one entry and three words there must have been evictions.
-    EXPECT_GE(RunResult::sumWhere(chip->stats(), "llc.",
-                                  ".cbdir.evictions"),
-              1u);
+    EXPECT_GE(chip->stats().sumWhere("llc.", ".cbdir.evictions"), 1u);
 }
 
 TEST_F(VipsFixture, PageTransitionFlushesPreviousOwner)

@@ -13,7 +13,7 @@ namespace {
 
 TEST(RunResultSums, SumWhereMatchesPrefixAndSuffix)
 {
-    StatSet stats;
+    StatsRegistry stats;
     Counter a, b, c, d;
     stats.add("llc.0.accesses", a);
     stats.add("llc.1.accesses", b);
@@ -25,10 +25,10 @@ TEST(RunResultSums, SumWhereMatchesPrefixAndSuffix)
     d.inc(1000);
     // Strict suffix match: "sync_accesses" must NOT count as
     // ".accesses" (they are separate metrics).
-    EXPECT_EQ(RunResult::sumWhere(stats, "llc.", ".accesses"), 12u);
-    EXPECT_EQ(RunResult::sumWhere(stats, "llc.", ".sync_accesses"), 100u);
-    EXPECT_EQ(RunResult::sumWhere(stats, "l1.", ".accesses"), 1000u);
-    EXPECT_EQ(RunResult::sumWhere(stats, "zz.", ".accesses"), 0u);
+    EXPECT_EQ(stats.sumWhere("llc.", ".accesses"), 12u);
+    EXPECT_EQ(stats.sumWhere("llc.", ".sync_accesses"), 100u);
+    EXPECT_EQ(stats.sumWhere("l1.", ".accesses"), 1000u);
+    EXPECT_EQ(stats.sumWhere("zz.", ".accesses"), 0u);
 }
 
 TEST(ChipConfig, Table2Defaults)

@@ -25,8 +25,7 @@ namespace {
 std::uint64_t
 watchTimeouts(Chip& chip)
 {
-    return RunResult::sumWhere(chip.stats(), "l1.",
-                               ".spin_watch_timeouts");
+    return chip.stats().sumWhere("l1.", ".spin_watch_timeouts");
 }
 
 /** Run a profile on MESI and return (chip stats checked inline). */
@@ -150,7 +149,7 @@ TEST(MesiRaceRegression, TinyLlcRecallsStayLive)
         EXPECT_EQ(chip.dataStore().read(w.guardWords[l]),
                   w.expectedGuardCounts[l]);
     }
-    EXPECT_GT(RunResult::sumWhere(chip.stats(), "llc.", ".recalls"), 0u);
+    EXPECT_GT(chip.stats().sumWhere("llc.", ".recalls"), 0u);
 }
 
 TEST(MesiRaceRegression, SwmrInvariantHoldsUnderLoad)

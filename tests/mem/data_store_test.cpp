@@ -7,7 +7,7 @@
 
 #include "mem/data_store.hh"
 #include "mem/memory_model.hh"
-#include "obs/registry.hh"
+#include "stats/stats.hh"
 
 namespace cbsim {
 namespace {

@@ -15,8 +15,8 @@
 #include "harness/result_sink.hh"
 #include "harness/sweep.hh"
 #include "obs/epoch.hh"
-#include "obs/registry.hh"
 #include "sim/event_queue.hh"
+#include "stats/stats.hh"
 
 namespace cbsim {
 namespace {

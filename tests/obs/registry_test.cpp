@@ -1,12 +1,12 @@
 /**
  * @file
  * StatsRegistry tests: hierarchical scoped registration, qualified
- * names, duplicate detection through scopes, and mergeable snapshots.
+ * names, and duplicate detection through scopes.
  */
 
 #include <gtest/gtest.h>
 
-#include "obs/registry.hh"
+#include "stats/stats.hh"
 #include "sim/log.hh"
 
 namespace cbsim {
@@ -50,73 +50,11 @@ TEST(StatsRegistry, RootScopeRegistersVerbatim)
 TEST(StatsRegistry, DuplicateThroughDifferentScopesPanics)
 {
     // Two components accidentally landing on the same qualified name
-    // must fail loudly, exactly like flat StatSet registration.
+    // must fail loudly, exactly like flat registration.
     StatsRegistry reg;
     Counter a, b;
     reg.scope("core.0").add("instructions", a);
     EXPECT_THROW(reg.scope("core.0").add("instructions", b), PanicError);
-}
-
-TEST(StatsRegistry, SnapshotCopiesLiveValues)
-{
-    StatsRegistry reg;
-    Counter c;
-    Histogram h;
-    reg.scope("mem").add("reads", c);
-    reg.scope("core.0").add("stall_latency", h);
-    c.inc(3);
-    h.sample(100);
-
-    const StatsSnapshot snap = reg.snapshot();
-    EXPECT_EQ(snap.counters.at("mem.reads"), 3u);
-    EXPECT_EQ(snap.histograms.at("core.0.stall_latency").count, 1u);
-
-    // Snapshots are owning copies: later increments don't leak in.
-    c.inc(100);
-    EXPECT_EQ(snap.counters.at("mem.reads"), 3u);
-}
-
-TEST(StatsSnapshot, MergeAddsCountersAndFoldsHistograms)
-{
-    StatsRegistry a, b;
-    Counter ca, cb;
-    Histogram ha, hb;
-    a.scope("noc").add("packets", ca);
-    a.scope("noc").add("hop_distance", ha);
-    b.scope("noc").add("packets", cb);
-    b.scope("noc").add("hop_distance", hb);
-    ca.inc(10);
-    cb.inc(32);
-    ha.sample(2);
-    hb.sample(4);
-    hb.sample(6);
-
-    StatsSnapshot sa = a.snapshot();
-    StatsSnapshot sb = b.snapshot();
-    StatsSnapshot ab = sa;
-    ab.merge(sb);
-    StatsSnapshot ba = sb;
-    ba.merge(sa);
-
-    EXPECT_EQ(ab.counters.at("noc.packets"), 42u);
-    EXPECT_EQ(ab.histograms.at("noc.hop_distance").count, 3u);
-    // Commutative: per-job snapshots can fold in any completion order.
-    EXPECT_EQ(ab, ba);
-}
-
-TEST(StatsSnapshot, MergeKeepsDisjointNames)
-{
-    StatsRegistry a, b;
-    Counter ca, cb;
-    a.scope("core.0").add("instructions", ca);
-    b.scope("core.1").add("instructions", cb);
-    ca.inc(7);
-    cb.inc(9);
-
-    StatsSnapshot s = a.snapshot();
-    s.merge(b.snapshot());
-    EXPECT_EQ(s.counters.at("core.0.instructions"), 7u);
-    EXPECT_EQ(s.counters.at("core.1.instructions"), 9u);
 }
 
 } // namespace

@@ -1,12 +1,13 @@
 /**
  * @file
- * Tests for counters, histograms, the stat registry, and geomean.
+ * Tests for counters, histograms, flat registry registration, and
+ * geomean. The gtest suite name StatSet predates the merge into
+ * StatsRegistry.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "sim/log.hh"
 #include "stats/stats.hh"
@@ -49,7 +50,7 @@ TEST(Histogram, EmptyIsZero)
 
 TEST(StatSet, RegistersAndReads)
 {
-    StatSet s;
+    StatsRegistry s;
     Counter c;
     s.add("llc.0.accesses", c);
     c.inc(7);
@@ -60,7 +61,7 @@ TEST(StatSet, RegistersAndReads)
 
 TEST(StatSet, DuplicateRegistrationPanics)
 {
-    StatSet s;
+    StatsRegistry s;
     Counter a, b;
     s.add("x", a);
     EXPECT_THROW(s.add("x", b), PanicError);
@@ -68,48 +69,8 @@ TEST(StatSet, DuplicateRegistrationPanics)
 
 TEST(StatSet, UnknownCounterIsFatal)
 {
-    StatSet s;
+    StatsRegistry s;
     EXPECT_THROW(s.counter("missing"), FatalError);
-}
-
-TEST(StatSet, SumByPrefix)
-{
-    StatSet s;
-    Counter a, b, c;
-    s.add("llc.0.accesses", a);
-    s.add("llc.1.accesses", b);
-    s.add("noc.packets", c);
-    a.inc(5);
-    b.inc(7);
-    c.inc(100);
-    EXPECT_EQ(s.sumByPrefix("llc."), 12u);
-    EXPECT_EQ(s.sumByPrefix("noc."), 100u);
-    EXPECT_EQ(s.sumByPrefix("zzz"), 0u);
-}
-
-TEST(StatSet, ResetAllClearsEverything)
-{
-    StatSet s;
-    Counter c;
-    Histogram h;
-    s.add("c", c);
-    s.add("h", h);
-    c.inc(3);
-    h.sample(9);
-    s.resetAll();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(h.count(), 0u);
-}
-
-TEST(StatSet, DumpContainsNames)
-{
-    StatSet s;
-    Counter c;
-    s.add("my.counter", c);
-    c.inc(11);
-    std::ostringstream os;
-    s.dump(os);
-    EXPECT_NE(os.str().find("my.counter = 11"), std::string::npos);
 }
 
 TEST(Histogram, PercentileOfEmptyIsZero)
