@@ -24,7 +24,7 @@ ExperimentResult
 runHandoff(Technique tech)
 {
     ChipConfig cfg = ChipConfig::forTechnique(tech, 4);
-    Chip* chip = new Chip(cfg); // leaked deliberately: result snapshot
+    Chip chip(cfg);
     const SyncFlavor flavor = syncFlavorFor(tech);
 
     Assembler p;
@@ -36,7 +36,7 @@ runHandoff(Technique tech)
         else
             p.stThroughImm(i + 1, 1);
     }
-    chip->setProgram(0, p.assemble());
+    chip.setProgram(0, p.assemble());
 
     // Consumer: one spin loop consuming each successive value (r4 holds
     // the last value seen; the producer paces writes far apart so each
@@ -73,14 +73,14 @@ runHandoff(Technique tech)
         c.label("out");
         break;
     }
-    chip->setProgram(1, c.assemble());
+    chip.setProgram(1, c.assemble());
     for (CoreId i = 2; i < 4; ++i) {
         Assembler idle;
-        chip->setProgram(i, idle.assemble());
+        chip.setProgram(i, idle.assemble());
     }
 
     ExperimentResult res;
-    res.run = chip->run();
+    res.run = chip.run();
     res.energy = computeEnergy(res.run);
     return res;
 }

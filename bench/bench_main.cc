@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
@@ -153,15 +154,18 @@ result(const std::string& key)
     return it->second;
 }
 
-/** Parse a --job-timeout-s value: a non-negative decimal number. */
+/** Parse a --job-timeout-s value: a finite, non-negative decimal
+ * number (strtod alone would also take "inf", "nan" and hex). */
 bool
 parseSeconds(const std::string& s, double& out)
 {
-    if (s.empty())
+    if (s.empty() ||
+        s.find_first_not_of("0123456789.eE+-") != std::string::npos)
         return false;
     char* end = nullptr;
     out = std::strtod(s.c_str(), &end);
-    return end == s.c_str() + s.size() && out >= 0.0;
+    return end == s.c_str() + s.size() && std::isfinite(out) &&
+           out >= 0.0;
 }
 
 int
@@ -357,8 +361,9 @@ benchMain(int argc, char** argv)
     }
 
     // --resume: load every module's journal; a cell whose config hash
-    // matches a journaled line is replayed instead of re-run.
-    std::map<std::string, std::string> journal_rows; // hash -> raw row
+    // matches a journaled line is decoded from that row instead of
+    // re-run.
+    std::map<std::string, std::string> journal_rows; // hash -> row
     if (mode().resume && mode().writeJson) {
         for (const auto& m : mods)
             for (auto& e : ResultJournal::load(journal_path(m.name)))
@@ -373,16 +378,14 @@ benchMain(int argc, char** argv)
     runner.setQuarantineDir(quarantine_dir);
     runner.setRerunPrefix(rerun_prefix);
 
-    struct ReplayedCell
-    {
-        std::string row; ///< verbatim journal bytes for the artifact
-        JobOutcome outcome;
-    };
-    std::map<std::string, ReplayedCell> replayed_cells; // by cell key
-    std::map<std::string, std::size_t> key_to_index;
-    std::vector<std::string> index_module; // runner index -> module
+    // One outcome per registered cell, index-aligned with pending:
+    // journaled cells are decoded here, the runner fills in the rest.
+    const auto& pending = pendingJobs();
+    std::vector<JobOutcome> outcomes(pending.size());
+    std::vector<std::size_t> to_run; // runner index -> pending index
     std::set<std::string> seen_keys;
-    for (auto& [module_name, job] : pendingJobs()) {
+    for (std::size_t p = 0; p < pending.size(); ++p) {
+        const SweepJob& job = pending[p].second;
         if (!seen_keys.insert(job.key).second)
             fatal("duplicate bench cell key: ", job.key);
         const auto jr = journal_rows.find(jobConfigHash(
@@ -393,19 +396,11 @@ benchMain(int argc, char** argv)
                 JsonValue::parse(jr->second, parse_error);
             if (parse_error.empty() &&
                 row.getString("key") == job.key) {
-                ReplayedCell cell;
-                cell.row = jr->second;
-                cell.outcome.ok = true;
-                cell.outcome.status = JobStatus::Ok;
-                cell.outcome.attempts = 0; // producing run's count is
-                                           // inside the replayed row
-                cell.outcome.result = parseRowResult(row);
-                replayed_cells.emplace(job.key, std::move(cell));
+                outcomes[p] = parseRunRow(row);
                 continue;
             }
         }
-        key_to_index.emplace(job.key, runner.jobCount());
-        index_module.push_back(module_name);
+        to_run.push_back(p);
         runner.add(job);
     }
 
@@ -422,14 +417,14 @@ benchMain(int argc, char** argv)
     const std::size_t total = runner.jobCount();
     std::cout << "cbsim bench: " << total << " simulations on "
               << runner.workers() << " worker thread(s)";
-    if (!replayed_cells.empty())
-        std::cout << " (" << replayed_cells.size()
+    if (total < pending.size())
+        std::cout << " (" << pending.size() - total
                   << " cells replayed from journal)";
     std::cout << "\n";
 
     const auto t0 = std::chrono::steady_clock::now();
     std::size_t done = 0;
-    auto outcomes =
+    auto ran =
         runner.run([&](std::size_t i, const JobOutcome& out) {
             ++done;
             std::cout << "[" << done << "/" << total << "] "
@@ -441,7 +436,7 @@ benchMain(int argc, char** argv)
             std::cout << "\n";
             if (out.ok && !journals.empty()) {
                 const SweepJob& job = runner.job(i);
-                const auto it = journals.find(index_module[i]);
+                const auto it = journals.find(pending[to_run[i]].first);
                 if (it != journals.end())
                     it->second->append(
                         jobConfigHash(job, ResultSink::kSchemaVersion,
@@ -454,30 +449,22 @@ benchMain(int argc, char** argv)
                                       t0)
             .count();
     std::cout << "sweep finished in " << fmt(wall_s, 2) << " s\n";
+    for (std::size_t i = 0; i < ran.size(); ++i)
+        outcomes[to_run[i]] = std::move(ran[i]);
 
     // Publish results for the table printers (failed cells print as
-    // zeros and are reported at the end; replayed cells contribute the
-    // reconstruction parsed from their journal row).
-    for (std::size_t i = 0; i < outcomes.size(); ++i)
-        cache()[runner.job(i).key] = outcomes[i].result;
-    for (const auto& [key, cell] : replayed_cells)
-        cache()[key] = cell.outcome.result;
+    // zeros and are reported at the end).
+    for (std::size_t p = 0; p < pending.size(); ++p)
+        cache()[pending[p].second.key] = outcomes[p].result;
 
     for (const auto& m : mods) {
         ResultSink sink(m.name);
         sink.meta("cores", std::to_string(mode().cores));
         sink.meta("scale", JsonWriter::number(mode().scale));
         sink.meta("micro_iters", std::to_string(mode().microIters));
-        for (const auto& [module_name, job] : pendingJobs()) {
-            if (module_name != m.name)
-                continue;
-            const auto rc = replayed_cells.find(job.key);
-            if (rc != replayed_cells.end())
-                sink.addReplayed(job, rc->second.row,
-                                 rc->second.outcome);
-            else
-                sink.add(job, outcomes[key_to_index.at(job.key)]);
-        }
+        for (std::size_t p = 0; p < pending.size(); ++p)
+            if (pending[p].first == m.name)
+                sink.add(pending[p].second, outcomes[p]);
         if (mode().writeJson) {
             const std::string path =
                 mode().outDir + "/" + m.name + ".json";
@@ -508,14 +495,12 @@ benchMain(int argc, char** argv)
         for (const auto& m : mods) {
             std::uint64_t events = 0;
             double wall_ms = 0.0;
-            for (const auto& [module_name, job] : pendingJobs()) {
-                if (module_name != m.name)
+            // Replayed cells carry no host-perf numbers: both are 0.
+            for (std::size_t p = 0; p < pending.size(); ++p) {
+                if (pending[p].first != m.name)
                     continue;
-                const auto it = key_to_index.find(job.key);
-                if (it == key_to_index.end())
-                    continue; // replayed: no host-perf numbers
-                events += outcomes[it->second].result.run.events;
-                wall_ms += outcomes[it->second].wallMs;
+                events += outcomes[p].result.run.events;
+                wall_ms += outcomes[p].wallMs;
             }
             all_events += events;
             all_wall += wall_ms;
@@ -545,12 +530,12 @@ benchMain(int argc, char** argv)
             m.print();
 
     unsigned failures = 0;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        if (!outcomes[i].ok) {
+    for (std::size_t p = 0; p < pending.size(); ++p) {
+        if (!outcomes[p].ok) {
             ++failures;
-            std::cerr << "FAILED (" << jobStatusName(outcomes[i].status)
-                      << "): " << runner.job(i).key << ": "
-                      << outcomes[i].error << "\n";
+            std::cerr << "FAILED (" << jobStatusName(outcomes[p].status)
+                      << "): " << pending[p].second.key << ": "
+                      << outcomes[p].error << "\n";
         }
     }
     if (failures) {

@@ -10,9 +10,10 @@
  *
  * The row is the exact artifact-row string (result_codec.hh), stored as
  * a JSON string literal so the line survives any byte the row contains.
- * On `--resume`, cells whose hash matches a journal line are replayed
- * by splicing those bytes straight back into the artifact — which is
- * what makes an interrupted-then-resumed sweep byte-identical to an
+ * On `--resume`, cells whose hash matches a journal line are decoded
+ * with parseRunRow() and stored like fresh outcomes; the row codec's
+ * fixed point re-serializes them to the journaled bytes, which is what
+ * makes an interrupted-then-resumed sweep byte-identical to an
  * uninterrupted one. Failed cells are deliberately NOT journaled: a
  * resume retries them, so transient breakage heals instead of being
  * replayed forever.
@@ -35,7 +36,7 @@ namespace cbsim {
 struct JournalEntry
 {
     std::string cell; ///< jobConfigHash of the producing job
-    std::string row;  ///< verbatim serialized artifact row
+    std::string row;  ///< serialized artifact row (result_codec.hh)
 };
 
 class ResultJournal

@@ -1,9 +1,7 @@
 #include "harness/result_codec.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <iterator>
 #include <sstream>
 
 #include "harness/json.hh"
@@ -200,63 +198,18 @@ parseCausal(const JsonValue& arr, RunResult& r)
     }
 }
 
-/** The raw (underived) RunResult counters, child-payload order. */
-constexpr const char* kRawRunFields[] = {
-    "cycles",          "llc_accesses",  "llc_sync_accesses",
-    "l1_accesses",     "cbdir_accesses", "flit_hops",
-    "packets",         "mem_reads",      "instructions",
-    "invalidations_sent", "cb_wakeups",  "cbdir_evictions",
-    "stall_cycles",    "cb_blocked_cycles",
-};
-
 void
-writeRawRun(JsonWriter& w, const RunResult& r)
+writeEnergy(JsonWriter& w, const EnergyBreakdown& e)
 {
-    const std::uint64_t values[] = {
-        r.cycles,        r.llcAccesses, r.llcSyncAccesses,
-        r.l1Accesses,    r.cbdirAccesses, r.flitHops,
-        r.packets,       r.memReads,      r.instructions,
-        r.invalidationsSent, r.cbWakeups, r.cbdirEvictions,
-        r.stallCycles,   r.cbBlockedCycles,
-    };
-    w.key("run");
-    w.beginObject();
-    for (std::size_t i = 0; i < std::size(kRawRunFields); ++i)
-        w.field(kRawRunFields[i], values[i]);
-    w.field("events", r.events);
-    w.field("sim_wall_ms", r.simWallMs);
-    w.endObject();
-}
-
-void
-parseRawRun(const JsonValue& obj, RunResult& r)
-{
-    std::uint64_t* slots[] = {
-        &r.cycles,        &r.llcAccesses, &r.llcSyncAccesses,
-        &r.l1Accesses,    &r.cbdirAccesses, &r.flitHops,
-        &r.packets,       &r.memReads,      &r.instructions,
-        &r.invalidationsSent, &r.cbWakeups, &r.cbdirEvictions,
-        &r.stallCycles,   &r.cbBlockedCycles,
-    };
-    for (std::size_t i = 0; i < std::size(kRawRunFields); ++i)
-        *slots[i] = u64Field(obj, kRawRunFields[i]);
-    r.events = u64Field(obj, "events");
-    r.simWallMs = doubleField(obj, "sim_wall_ms");
-}
-
-void
-writeEnergyFields(JsonWriter& w, const EnergyBreakdown& e, bool derived)
-{
+    w.key("energy_nj");
     w.beginObject();
     w.field("l1", e.l1);
     w.field("llc", e.llc);
     w.field("network", e.network);
     w.field("cbdir", e.cbdir);
     w.field("memory", e.memory);
-    if (derived) {
-        w.field("on_chip", e.onChip());
-        w.field("total", e.total());
-    }
+    w.field("on_chip", e.onChip());
+    w.field("total", e.total());
     w.endObject();
 }
 
@@ -271,8 +224,6 @@ parseEnergy(const JsonValue& obj)
     e.memory = doubleField(obj, "memory");
     return e;
 }
-
-} // namespace
 
 void
 writeJobConfig(JsonWriter& w, const SweepJob& job)
@@ -332,12 +283,22 @@ writeRunMetrics(JsonWriter& w, const RunResult& r)
     writeCausal(w, r);
 }
 
-void
-writeEnergy(JsonWriter& w, const EnergyBreakdown& e)
+/** Inverse of jobStatusName(); Failed for unknown names. */
+JobStatus
+jobStatusFromName(const std::string& name)
 {
-    w.key("energy_nj");
-    writeEnergyFields(w, e, /*derived=*/true);
+    if (name == "ok")
+        return JobStatus::Ok;
+    if (name == "timeout")
+        return JobStatus::TimedOut;
+    if (name == "skipped")
+        return JobStatus::Skipped;
+    if (name == "crashed")
+        return JobStatus::Crashed;
+    return JobStatus::Failed;
 }
+
+} // namespace
 
 std::string
 serializeRunRow(const SweepJob& job, const JobOutcome& outcome)
@@ -387,80 +348,27 @@ jobConfigHash(const SweepJob& job, unsigned schema_version,
     return buf;
 }
 
-std::string
-serializeChildPayload(const JobOutcome& outcome)
+JobOutcome
+parseRunRow(const JsonValue& row)
 {
-    std::ostringstream os;
-    JsonWriter w(os);
-    w.beginObject();
-    w.field("payload", "cbsim-child-v1");
-    w.field("status", jobStatusName(outcome.status));
-    if (!outcome.ok) {
-        w.field("error", outcome.error);
-    } else {
-        writeRawRun(w, outcome.result.run);
-        writeSyncKinds(w, outcome.result.run);
-        writeEpochs(w, outcome.result.run);
-        writeContention(w, outcome.result.run);
-        writeCausal(w, outcome.result.run);
-        w.key("energy_nj");
-        writeEnergyFields(w, outcome.result.energy, /*derived=*/false);
-    }
-    w.endObject();
-    return os.str();
-}
-
-bool
-parseChildPayload(const std::string& text, JobOutcome& outcome)
-{
-    std::string error;
-    const JsonValue doc = JsonValue::parse(text, error);
-    if (!error.empty() || doc.getString("payload") != "cbsim-child-v1")
-        return false;
-    outcome.status = jobStatusFromName(doc.getString("status"));
-    outcome.ok = outcome.status == JobStatus::Ok;
-    outcome.error = doc.getString("error");
-    outcome.result = ExperimentResult();
-    if (outcome.ok) {
-        parseRawRun(doc.get("run"), outcome.result.run);
-        parseSyncKinds(doc.get("sync"), outcome.result.run);
-        parseEpochs(doc.get("epochs"), outcome.result.run);
-        parseContention(doc.get("contention"), outcome.result.run);
-        parseCausal(doc.get("causal"), outcome.result.run);
-        outcome.result.energy = parseEnergy(doc.get("energy_nj"));
-    }
-    return true;
-}
-
-ExperimentResult
-parseRowResult(const JsonValue& row)
-{
-    ExperimentResult res;
-    // The artifact's metrics object carries the raw counters under the
-    // same names the child payload uses, plus derived sync percentile
-    // scalars that recompute from sync[] — parse the former, let the
-    // latter fall out of parseSyncKinds.
-    parseRawRun(row.get("metrics"), res.run);
-    parseSyncKinds(row.get("sync"), res.run);
-    parseEpochs(row.get("epochs"), res.run);
-    parseContention(row.get("contention"), res.run);
-    parseCausal(row.get("causal"), res.run);
-    res.energy = parseEnergy(row.get("energy_nj"));
-    return res;
-}
-
-JobStatus
-jobStatusFromName(const std::string& name)
-{
-    if (name == "ok")
-        return JobStatus::Ok;
-    if (name == "timeout")
-        return JobStatus::TimedOut;
-    if (name == "skipped")
-        return JobStatus::Skipped;
-    if (name == "crashed")
-        return JobStatus::Crashed;
-    return JobStatus::Failed;
+    JobOutcome out;
+    out.ok = row.get("ok").boolean();
+    out.status = jobStatusFromName(row.getString("status"));
+    out.attempts = static_cast<unsigned>(u64Field(row, "attempts"));
+    out.quarantined = row.get("quarantined").boolean();
+    out.error = row.getString("error");
+    // A failed row carries none of these members; each parses to its
+    // default, which is what serializeRunRow had.
+    RunResult& r = out.result.run;
+    const JsonValue& metrics = row.get("metrics");
+    for (const auto& [name, member] : RunResult::kCounters)
+        r.*member = u64Field(metrics, name);
+    parseSyncKinds(row.get("sync"), r);
+    parseEpochs(row.get("epochs"), r);
+    parseContention(row.get("contention"), r);
+    parseCausal(row.get("causal"), r);
+    out.result.energy = parseEnergy(row.get("energy_nj"));
+    return out;
 }
 
 } // namespace cbsim

@@ -1,22 +1,22 @@
 /**
  * @file
- * Serialization shared by the crash-safe sweep layer (docs/RESULTS.md,
- * docs/ROBUSTNESS.md §Crash-safe sweeps).
+ * The one encoding of a finished sweep cell: its artifact row
+ * (docs/RESULTS.md, docs/ROBUSTNESS.md §Crash-safe sweeps).
  *
- * Three consumers need the same bytes:
- *  - the ResultSink, which serializes every run of a sweep into the
- *    versioned JSON artifact;
- *  - the ResultJournal, which appends each completed run's row so an
+ * Every consumer of a finished cell reads and writes that row:
+ *  - the ResultSink, which splices each cell's row into the "runs"
+ *    array of the versioned JSON artifact;
+ *  - the ResultJournal, which appends each completed cell's row so an
  *    interrupted sweep can be resumed without re-running it;
- *  - the --isolate subprocess pipe, over which a forked child streams
- *    its ExperimentResult back to the parent.
+ *  - the --isolate subprocess pipe, over which a forked child sends
+ *    its cell's row (plus the two host-only counters) to the parent;
+ *  - the quarantine bundle, whose job.json is the failed cell's row.
  *
- * The determinism contract hinges on one property: serializing a run
- * row is a pure function of (job config, outcome), and parsing a
- * serialized ExperimentResult back and re-serializing it reproduces the
- * identical bytes (integers verbatim via their raw token text, doubles
- * via JsonWriter::number's shortest-round-trip form). That is what
- * makes resumed and isolated sweeps byte-identical to plain ones.
+ * parseRunRow() is the row's one inverse, and the determinism contract
+ * hinges on one property: serializeRunRow(job, parseRunRow(row)) ==
+ * row. Integers round-trip via their raw token text and doubles via
+ * JsonWriter::number's shortest-round-trip form, so a resumed or an
+ * isolated sweep is byte-identical to a plain one.
  */
 
 #ifndef CBSIM_HARNESS_RESULT_CODEC_HH
@@ -28,22 +28,13 @@
 
 namespace cbsim {
 
-class JsonWriter;
 class JsonValue;
-
-/** Serialize @p job's declarative configuration as a "config" member. */
-void writeJobConfig(JsonWriter& w, const SweepJob& job);
-
-/** Serialize metrics + sync[] (+ epochs/contention when present). */
-void writeRunMetrics(JsonWriter& w, const RunResult& r);
-
-/** Serialize the energy breakdown as an "energy_nj" member. */
-void writeEnergy(JsonWriter& w, const EnergyBreakdown& e);
 
 /**
  * One complete artifact row for (job, outcome): the object the
  * ResultSink splices into the "runs" array, serialized standalone at
- * root depth (2-space inner indentation, re-indented on splice).
+ * root depth (2-space inner indentation, re-indented on splice). Never
+ * carries the host-only RunResult::events and simWallMs.
  */
 std::string serializeRunRow(const SweepJob& job, const JobOutcome& outcome);
 
@@ -58,28 +49,11 @@ std::string jobConfigHash(const SweepJob& job, unsigned schema_version,
                           const std::string& sweep_meta);
 
 /**
- * Child→parent payload for one isolated job: status, error, and the
- * full ExperimentResult (raw RunResult fields, sync kinds, epochs,
- * contention, energy — everything the sink and the table printers
- * read).
+ * Decode a serialized artifact row: status, ok, error, attempts,
+ * quarantined and the full ExperimentResult (without the workload
+ * build and the host-only events/simWallMs, which no row carries).
  */
-std::string serializeChildPayload(const JobOutcome& outcome);
-
-/**
- * Parse a child payload back into @p outcome.
- * @return false (outcome untouched) when @p text is not a payload
- */
-bool parseChildPayload(const std::string& text, JobOutcome& outcome);
-
-/**
- * Best-effort reconstruction of an ExperimentResult from a serialized
- * artifact row (the journal replay path — feeds the bench table
- * printers; the artifact itself splices the journaled row verbatim).
- */
-ExperimentResult parseRowResult(const JsonValue& row);
-
-/** Inverse of jobStatusName(); Failed for unknown names. */
-JobStatus jobStatusFromName(const std::string& name);
+JobOutcome parseRunRow(const JsonValue& row);
 
 } // namespace cbsim
 

@@ -24,36 +24,8 @@ ResultSink::meta(const std::string& key, const std::string& value)
 void
 ResultSink::add(const SweepJob& job, const JobOutcome& outcome)
 {
-    Entry e;
-    e.job = job;
-    e.job.fn = nullptr; // config snapshot only
-    e.outcome = outcome;
-    // The workload build is only needed for in-process invariant checks;
-    // dropping it keeps long sweeps from retaining every program.
-    e.outcome.result.workload = WorkloadBuild();
-    entries_.push_back(std::move(e));
-}
-
-void
-ResultSink::addReplayed(const SweepJob& job, std::string raw_row,
-                        const JobOutcome& outcome)
-{
-    Entry e;
-    e.job = job;
-    e.job.fn = nullptr;
-    e.outcome = outcome;
-    e.outcome.result.workload = WorkloadBuild();
-    e.rawRow = std::move(raw_row);
-    entries_.push_back(std::move(e));
-}
-
-bool
-ResultSink::allOk() const
-{
-    for (const auto& e : entries_)
-        if (!e.outcome.ok)
-            return false;
-    return true;
+    rows_.push_back(serializeRunRow(job, outcome));
+    allOk_ = allOk_ && outcome.ok;
 }
 
 void
@@ -73,16 +45,10 @@ ResultSink::write(std::ostream& os) const
 
     w.key("runs");
     w.beginArray();
-    // One serialization path for fresh and replayed rows alike
-    // (result_codec.hh): every row is a standalone root-depth string
-    // spliced in via rawValue(), so a journal-replayed artifact cannot
-    // diverge from a freshly produced one by even a byte.
-    for (const auto& e : entries_) {
-        if (!e.rawRow.empty())
-            w.rawValue(e.rawRow);
-        else
-            w.rawValue(serializeRunRow(e.job, e.outcome));
-    }
+    // Every row is a standalone root-depth string (result_codec.hh),
+    // re-indented into place by rawValue().
+    for (const std::string& row : rows_)
+        w.rawValue(row);
     w.endArray();
     w.endObject();
     os << '\n';

@@ -9,7 +9,9 @@
  * Determinism contract: the emitted JSON is a pure function of the job
  * list and the simulator — no timestamps, hostnames, wall-clock times,
  * or thread counts — so a --jobs 1 and a --jobs N sweep over the same
- * jobs serialize byte-identically (asserted by tests/harness).
+ * jobs serialize byte-identically (asserted by tests/harness). Fresh,
+ * journal-replayed and --isolate cells all arrive as a JobOutcome and
+ * leave as the same serializeRunRow() bytes (result_codec.hh).
  */
 
 #ifndef CBSIM_HARNESS_RESULT_SINK_HH
@@ -57,21 +59,12 @@ class ResultSink
     /** Attach a sweep-level string annotation (emitted in order). */
     void meta(const std::string& key, const std::string& value);
 
-    /** Record one finished job, in submission order. */
+    /** Record one finished job, in submission order: serializes its
+     * artifact row (result_codec.hh) right away. */
     void add(const SweepJob& job, const JobOutcome& outcome);
 
-    /**
-     * Record one journal-replayed job (`--resume`): @p raw_row is the
-     * verbatim serialized row loaded from the journal and is spliced
-     * into the artifact byte-for-byte; @p outcome is the best-effort
-     * reconstruction (result_codec.hh) feeding allOk() and the bench
-     * table printers.
-     */
-    void addReplayed(const SweepJob& job, std::string raw_row,
-                     const JobOutcome& outcome);
-
-    std::size_t size() const { return entries_.size(); }
-    bool allOk() const;
+    std::size_t size() const { return rows_.size(); }
+    bool allOk() const { return allOk_; }
 
     void write(std::ostream& os) const;
     std::string toJson() const;
@@ -86,16 +79,10 @@ class ResultSink
     void writeFile(const std::string& path) const;
 
   private:
-    struct Entry
-    {
-        SweepJob job; ///< fn stripped; config only
-        JobOutcome outcome;
-        std::string rawRow; ///< non-empty: replayed, splice verbatim
-    };
-
     std::string benchName_;
     std::vector<std::pair<std::string, std::string>> meta_;
-    std::vector<Entry> entries_;
+    std::vector<std::string> rows_;
+    bool allOk_ = true;
 };
 
 } // namespace cbsim

@@ -1,15 +1,21 @@
 #include "harness/subprocess.hh"
 
 #include <cerrno>
+#include <climits>
+#include <cmath>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
+#include <sstream>
 #include <string>
 
 #include <poll.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "harness/json.hh"
 #include "harness/result_codec.hh"
+#include "report/json_value.hh"
 #include "sim/log.hh"
 
 // Coverage builds only: the forked child exits via _exit(2) (no static
@@ -50,6 +56,38 @@ crashSignalName(int sig)
     }
 }
 
+/** The pipe payload: the cell's artifact row, wrapped with the two
+ * host-only counters that must never enter an artifact. */
+std::string
+childPayload(const SweepJob& job, const JobOutcome& out)
+{
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.beginObject();
+    w.field("events", out.result.run.events);
+    w.field("sim_wall_ms", out.result.run.simWallMs);
+    w.key("row");
+    w.rawValue(serializeRunRow(job, out));
+    w.endObject();
+    return os.str();
+}
+
+/** Decode a complete payload into @p out; false when @p text is not
+ * one (the child died mid-write or before writing). */
+bool
+parseChildPayload(const std::string& text, JobOutcome& out)
+{
+    std::string error;
+    const JsonValue doc = JsonValue::parse(text, error);
+    if (!error.empty() || !doc.get("row").isObject())
+        return false;
+    out = parseRunRow(doc.get("row"));
+    out.result.run.events =
+        std::strtoull(doc.get("events").text().c_str(), nullptr, 10);
+    out.result.run.simWallMs = doc.getNumber("sim_wall_ms");
+    return true;
+}
+
 /** Child side: run the job, stream the payload, _exit. Never returns.
  * The child must not touch the parent's streams or run static
  * destructors — hence write(2) + _exit(2) only. */
@@ -62,28 +100,7 @@ childMain(const SweepJob& job, const DebugConfig& dcfg, int fd,
         // abruptly, with no payload and no exit handler.
         ::kill(::getpid(), SIGKILL);
     }
-    JobOutcome out;
-    {
-        // Same thread-scoped override the inline path installs: chips
-        // inherit the job key as forensic label plus the wall budget.
-        DebugScope scope(dcfg);
-        try {
-            out.result = job.execute();
-            out.ok = true;
-            out.status = JobStatus::Ok;
-        } catch (const TimeoutError& e) {
-            out.ok = false;
-            out.status = JobStatus::TimedOut;
-            out.error = e.what();
-            out.result = ExperimentResult();
-        } catch (const std::exception& e) {
-            out.ok = false;
-            out.status = JobStatus::Failed;
-            out.error = e.what();
-            out.result = ExperimentResult();
-        }
-    }
-    const std::string payload = serializeChildPayload(out);
+    const std::string payload = childPayload(job, runJob(job, dcfg));
     std::size_t off = 0;
     while (off < payload.size()) {
         const ssize_t n =
@@ -145,6 +162,16 @@ ForkGate::Exclusive::~Exclusive()
     gate_->cv_.notify_all();
 }
 
+int
+backstopPollMs(double hard_timeout_s)
+{
+    if (!(hard_timeout_s > 0.0))
+        return -1;
+    const double ms = std::ceil(hard_timeout_s * 1000.0);
+    return ms >= static_cast<double>(INT_MAX) ? INT_MAX
+                                              : static_cast<int>(ms);
+}
+
 JobOutcome
 runJobIsolated(const SweepJob& job, const DebugConfig& dcfg,
                double hard_timeout_s, bool kill_child, ForkGate* gate)
@@ -182,9 +209,7 @@ runJobIsolated(const SweepJob& job, const DebugConfig& dcfg,
     // fire long before this; the backstop covers a wedged child).
     std::string payload;
     bool hard_timed_out = false;
-    const int timeout_ms = hard_timeout_s > 0.0
-                               ? static_cast<int>(hard_timeout_s * 1000.0)
-                               : -1;
+    const int timeout_ms = backstopPollMs(hard_timeout_s);
     for (;;) {
         char chunk[4096];
         ssize_t n;

@@ -3,16 +3,17 @@
  * Process isolation for sweep jobs (docs/ROBUSTNESS.md §Crash-safe
  * sweeps).
  *
- * Under `--isolate`, each SweepJob runs in a forked child that streams
- * its serialized ExperimentResult (result_codec.hh child payload) back
- * over a pipe and then _exit()s. Anything that would have taken the
+ * Under `--isolate`, each SweepJob runs in a forked child that sends
+ * its cell's artifact row (result_codec.hh), wrapped with the two
+ * host-only counters `events` and `sim_wall_ms`, back over a pipe and
+ * then _exit()s. Anything that would have taken the
  * whole sweep down — a segfault, an OOM kill, an abort() from a
  * corrupted invariant — now takes down one child, and the parent
  * classifies the loss as the `crashed` JobStatus while sibling cells
  * keep running. Failures the child can catch (fatal(), panic(),
- * watchdog TimeoutError) are classified *in the child* and travel back
- * in the payload, so an isolated sweep reports byte-identical rows to
- * an inline one.
+ * watchdog TimeoutError) are classified *in the child* by the same
+ * runJob() the inline path calls and travel back in the row, so an
+ * isolated sweep reports byte-identical rows to an inline one.
  *
  * Forensic dumps need no special plumbing: the child shares the
  * filesystem, so a chip crash writes
@@ -99,6 +100,14 @@ class ForkGate
     unsigned shares_ = 0;
     bool forking_ = false;
 };
+
+/**
+ * The poll(2) timeout for a parent-side backstop of @p hard_timeout_s
+ * seconds: -1 (wait forever) when it is not positive, else rounded up
+ * to whole milliseconds (a sub-millisecond budget still arms it) and
+ * saturated at INT_MAX (about 24.8 days) instead of overflowing.
+ */
+int backstopPollMs(double hard_timeout_s);
 
 /**
  * Run @p job to completion in a forked child.

@@ -6,13 +6,11 @@
 #include <fstream>
 #include <latch>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "debug/debug_config.hh"
 #include "debug/forensics.hh"
 #include "harness/harness_faults.hh"
-#include "harness/json.hh"
 #include "harness/result_codec.hh"
 #include "harness/subprocess.hh"
 #include "sim/log.hh"
@@ -106,6 +104,25 @@ SweepJob::execute() const
     panic("corrupt sweep job kind");
 }
 
+JobOutcome
+runJob(const SweepJob& job, const DebugConfig& dcfg)
+{
+    DebugScope scope(dcfg);
+    JobOutcome out;
+    try {
+        out.result = job.execute();
+        out.ok = true;
+        out.status = JobStatus::Ok;
+    } catch (const TimeoutError& e) {
+        out.status = JobStatus::TimedOut;
+        out.error = e.what();
+    } catch (const std::exception& e) {
+        out.status = JobStatus::Failed;
+        out.error = e.what();
+    }
+    return out;
+}
+
 SweepRunner::SweepRunner(unsigned jobs) : workers_(jobs)
 {
     if (workers_ == 0) {
@@ -157,22 +174,7 @@ SweepRunner::runAttempts(std::size_t i, ForkGate* gate)
                 jobTimeoutS_ > 0.0 ? jobTimeoutS_ * 4.0 : 0.0;
             out = runJobIsolated(job, dcfg, hard, kill_child, gate);
         } else {
-            DebugScope scope(dcfg);
-            try {
-                out.result = job.execute();
-                out.ok = true;
-                out.status = JobStatus::Ok;
-            } catch (const TimeoutError& e) {
-                out.ok = false;
-                out.status = JobStatus::TimedOut;
-                out.error = e.what();
-                out.result = ExperimentResult();
-            } catch (const std::exception& e) {
-                out.ok = false;
-                out.status = JobStatus::Failed;
-                out.error = e.what();
-                out.result = ExperimentResult();
-            }
+            out = runJob(job, dcfg);
         }
         out.attempts = attempt + 1;
         if (out.ok || attempt >= retries_)
@@ -229,18 +231,9 @@ SweepRunner::quarantine(const SweepJob& job, JobOutcome& out) const
     if (ec)
         return; // quarantine is best-effort; the row still says failed
 
-    {
-        std::ofstream os(dir / "job.json");
-        JsonWriter w(os);
-        w.beginObject();
-        w.field("key", job.key);
-        writeJobConfig(w, job);
-        w.field("status", jobStatusName(out.status));
-        w.field("attempts", out.attempts);
-        w.field("error", out.error);
-        w.endObject();
-        os << '\n';
-    }
+    // job.json is the cell's artifact row, quarantine flag included.
+    out.quarantined = true;
+    std::ofstream(dir / "job.json") << serializeRunRow(job, out) << '\n';
 
     // The forensic dump the failing chip wrote (if forensics were on):
     // same label-derived name the debug layer uses.
@@ -258,7 +251,6 @@ SweepRunner::quarantine(const SweepJob& job, JobOutcome& out) const
         os << (rerunPrefix_.empty() ? "bench_all" : rerunPrefix_.c_str())
            << " --only-key '" << job.key << "'\n";
     }
-    out.quarantined = true;
 }
 
 std::vector<JobOutcome>

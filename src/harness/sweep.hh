@@ -24,6 +24,7 @@
 
 namespace cbsim {
 
+struct DebugConfig;
 class ForkGate;
 
 /** How a sweep job builds its simulation. */
@@ -99,15 +100,23 @@ struct JobOutcome
     ExperimentResult result; ///< default-initialized when !ok
     double wallMs = 0.0;     ///< host wall-clock (never serialized)
 
-    /** Execution attempts made (1 without --retries; 0 for skipped and
-     * for journal-replayed cells, which carry their producing run's
-     * count in the replayed row instead). */
+    /** Execution attempts made (1 without --retries; 0 for skipped
+     * cells; a journal-replayed cell keeps its producing run's count,
+     * decoded from the journaled row). */
     unsigned attempts = 0;
 
     /** Cell failed every attempt and a repro bundle was written under
      * the quarantine directory (docs/ROBUSTNESS.md). */
     bool quarantined = false;
 };
+
+/**
+ * Run @p job in this process under @p dcfg (installed as a DebugScope)
+ * and classify how it ended: Ok, TimedOut (watchdog TimeoutError) or
+ * Failed (any other exception). The one execution path of both the
+ * inline sweep and the --isolate child. Leaves `attempts` at 0.
+ */
+JobOutcome runJob(const SweepJob& job, const DebugConfig& dcfg);
 
 /**
  * Runs a list of SweepJobs across a pool of host threads and returns
@@ -157,9 +166,10 @@ class SweepRunner
 
     /**
      * Quarantine cells that fail every attempt: write a self-contained
-     * repro bundle under `<dir>/<sanitized key>/` (job config JSON,
-     * forensic dump when one was written, one-line re-run command) and
-     * mark the row `quarantined`. Off when @p dir is empty.
+     * repro bundle under `<dir>/<sanitized key>/` (the cell's failed
+     * artifact row as job.json, forensic dump when one was written,
+     * one-line re-run command) and mark the row `quarantined`. Off
+     * when @p dir is empty.
      */
     void setQuarantineDir(std::string dir) { quarantineDir_ = std::move(dir); }
 

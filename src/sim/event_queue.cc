@@ -32,9 +32,9 @@ EventQueue::migrateFar()
         far_.pop_back();
         const std::size_t idx = key.when & (wheelSize - 1);
         Bucket& b = buckets_[idx];
-        if (b.events.size() == b.head)
+        if (b.empty())
             setOccupied(idx);
-        b.events.push_back(std::move(farSlots_[key.slot]));
+        b.push_back(std::move(farSlots_[key.slot]));
         farFree_.push_back(key.slot);
         ++wheelCount_;
     }
@@ -70,20 +70,18 @@ EventQueue::dispatchBucket()
     // advance(), which stays on this tick.
     const std::size_t idx = now_ & (wheelSize - 1);
     Bucket& b = buckets_[idx];
-    const std::size_t head = b.head; // non-zero only after step()
-    b.head = 0;
     clearOccupied(idx);
-    scratch_.swap(b.events);
-    const std::size_t count = scratch_.size() - head;
+    scratch_.swap(b);
+    const std::size_t count = scratch_.size();
     wheelCount_ -= count;
     executed_ += count;
-    for (std::size_t i = head; i < scratch_.size(); ++i)
-        scratch_[i]();
+    for (Event& ev : scratch_)
+        ev();
     scratch_.clear();
-    if (b.events.empty()) {
+    if (b.empty()) {
         // No re-entrant appends: hand the (larger) capacity back
         // so the bucket stays allocation-free next time around.
-        b.events.swap(scratch_);
+        b.swap(scratch_);
     }
     if (executed_ >= nextPollAt_) {
         nextPollAt_ = executed_ + pollEvery_;
@@ -123,7 +121,7 @@ EventQueue::debugSnapshot(std::size_t maxHeadTicks) const
              ++i) {
             const std::size_t b = (idx + i) & (wheelSize - 1);
             const Bucket& bucket = buckets_[b];
-            const std::size_t count = bucket.events.size() - bucket.head;
+            const std::size_t count = bucket.size();
             if (count == 0)
                 continue;
             // Recover the bucket's absolute tick: it is the unique tick

@@ -165,9 +165,9 @@ class EventQueue
         if (when - wheelBase_ < wheelSize) {
             const std::size_t idx = when & (wheelSize - 1);
             Bucket& b = buckets_[idx];
-            if (b.events.size() == b.head)
+            if (b.empty())
                 setOccupied(idx);
-            b.events.emplace_back(std::forward<F>(fn));
+            b.emplace_back(std::forward<F>(fn));
             ++wheelCount_;
         } else {
             pushFar(when, Event(std::forward<F>(fn)));
@@ -205,34 +205,9 @@ class EventQueue
      */
     Tick run(Tick maxTicks = maxTick);
 
-    /** Execute a single event; returns false if the queue was empty. */
-    bool
-    step()
-    {
-        if (!advance())
-            return false;
-        const std::size_t idx = now_ & (wheelSize - 1);
-        Bucket& b = buckets_[idx];
-        Event ev = std::move(b.events[b.head]);
-        ++b.head;
-        --wheelCount_;
-        ++executed_;
-        ev(); // may reallocate b.events (same-tick schedule); ev is out
-        if (b.head == b.events.size()) {
-            b.events.clear(); // keeps capacity: steady state reallocates
-            b.head = 0;       // nothing
-            clearOccupied(idx);
-        }
-        return true;
-    }
-
   private:
-    /** One tick's worth of events; head indexes the next to fire. */
-    struct Bucket
-    {
-        std::vector<Event> events;
-        std::size_t head = 0;
-    };
+    /** One tick's worth of events, in dispatch order. */
+    using Bucket = std::vector<Event>;
 
     /**
      * Far-heap entry: ordering key plus the index of the event's slot

@@ -49,27 +49,35 @@ roundedLatency(double v)
 
 } // namespace
 
+const std::array<std::pair<const char*, std::uint64_t RunResult::*>, 14>
+    RunResult::kCounters = {{
+        {"cycles", &RunResult::cycles},
+        {"llc_accesses", &RunResult::llcAccesses},
+        {"llc_sync_accesses", &RunResult::llcSyncAccesses},
+        {"l1_accesses", &RunResult::l1Accesses},
+        {"cbdir_accesses", &RunResult::cbdirAccesses},
+        {"flit_hops", &RunResult::flitHops},
+        {"packets", &RunResult::packets},
+        {"mem_reads", &RunResult::memReads},
+        {"instructions", &RunResult::instructions},
+        {"invalidations_sent", &RunResult::invalidationsSent},
+        {"cb_wakeups", &RunResult::cbWakeups},
+        {"cbdir_evictions", &RunResult::cbdirEvictions},
+        {"stall_cycles", &RunResult::stallCycles},
+        {"cb_blocked_cycles", &RunResult::cbBlockedCycles},
+    }};
+
 std::vector<std::pair<const char*, std::uint64_t>>
 RunResult::scalarFields() const
 {
     const auto& acq = sync[static_cast<std::size_t>(SyncKind::Acquire)];
     const auto& bar = sync[static_cast<std::size_t>(SyncKind::Barrier)];
     const auto& wait = sync[static_cast<std::size_t>(SyncKind::Wait)];
-    return {
-        {"cycles", cycles},
-        {"llc_accesses", llcAccesses},
-        {"llc_sync_accesses", llcSyncAccesses},
-        {"l1_accesses", l1Accesses},
-        {"cbdir_accesses", cbdirAccesses},
-        {"flit_hops", flitHops},
-        {"packets", packets},
-        {"mem_reads", memReads},
-        {"instructions", instructions},
-        {"invalidations_sent", invalidationsSent},
-        {"cb_wakeups", cbWakeups},
-        {"cbdir_evictions", cbdirEvictions},
-        {"stall_cycles", stallCycles},
-        {"cb_blocked_cycles", cbBlockedCycles},
+    std::vector<std::pair<const char*, std::uint64_t>> fields;
+    fields.reserve(kCounters.size() + 9);
+    for (const auto& [name, member] : kCounters)
+        fields.emplace_back(name, this->*member);
+    fields.insert(fields.end(), {
         {"sync_acquire_p50", roundedLatency(acq.p50Latency)},
         {"sync_acquire_p95", roundedLatency(acq.p95Latency)},
         {"sync_acquire_p99", roundedLatency(acq.p99Latency)},
@@ -79,7 +87,8 @@ RunResult::scalarFields() const
         {"sync_wait_p50", roundedLatency(wait.p50Latency)},
         {"sync_wait_p95", roundedLatency(wait.p95Latency)},
         {"sync_wait_p99", roundedLatency(wait.p99Latency)},
-    };
+    });
+    return fields;
 }
 
 std::string

@@ -91,6 +91,16 @@ struct RunResult
      */
     std::vector<CausalRow> causal;
 
+    /**
+     * The raw counters as (snake_case name, member), in artifact
+     * order: scalarFields() leads with them, and the result codec
+     * reads them back by the same names (the scalars after them derive
+     * from sync[]).
+     */
+    static const std::array<std::pair<const char*, std::uint64_t RunResult::*>,
+                            14>
+        kCounters;
+
     /** Extract every metric from a finished run's stats. */
     static RunResult fromStats(const StatsRegistry& stats,
                                const SyncStats& sync,

@@ -10,10 +10,13 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <thread>
 
@@ -25,6 +28,7 @@
 #include "harness/sweep.hh"
 #include "report/json_value.hh"
 #include "system/chip_config.hh"
+#include "workload/suite.hh"
 #include "sim/log.hh"
 
 namespace cbsim {
@@ -59,26 +63,82 @@ scratchDir(const std::string& name)
     return dir;
 }
 
-TEST(ResultCodec, ChildPayloadRoundTripsToIdenticalRow)
+TEST(ResultCodec, RunRowIsAFixedPointOfParseRunRow)
 {
-    // The byte-identity hinge: a result that crossed the --isolate
-    // pipe must serialize to the exact same artifact row as the
-    // in-process original.
-    SweepRunner runner(1);
-    runner.add(tinyMicro("codec/cell", SyncMicro::ClhLock,
-                         Technique::CbOne));
-    const auto outcomes = runner.run();
-    ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error;
+    // The byte-identity hinge of journal replay and of the --isolate
+    // pipe: a row decoded by parseRunRow() serializes back to the
+    // exact same bytes, for every shape a row can take.
+    DebugConfig observed = DebugConfig::current();
+    observed.obs.epochTicks = 2000;
+    observed.obs.attribution = true;
+    observed.obs.causal = true;
+    DebugConfig plain = DebugConfig::current();
+    DebugConfig tight = plain;
+    tight.checkIntervalEvents = 20; // so a tiny job polls the watchdog
+    tight.wallTimeoutS = 1e-9;      // and any elapsed wall time trips
 
-    const std::string payload = serializeChildPayload(outcomes[0]);
-    JobOutcome parsed;
-    ASSERT_TRUE(parseChildPayload(payload, parsed));
-    parsed.attempts = outcomes[0].attempts;
+    Profile fft = scaled(benchmark("fft"), 0.1);
+    fft.phases = 1;
+    struct Cell
+    {
+        SweepJob job;
+        const DebugConfig* dcfg;
+        JobStatus want;
+        const char* mustContain;
+    };
+    const Cell cells[] = {
+        {SweepJob::forProfile("codec/profile", fft, Technique::CbOne, 4),
+         &observed, JobStatus::Ok, "\"causal\""},
+        {tinyMicro("codec/micro", SyncMicro::ClhLock, Technique::CbAll),
+         &plain, JobStatus::Ok, "\"sync\""},
+        {SweepJob::custom("codec/failed",
+                          []() -> ExperimentResult {
+                              fatal("bad \"cell\"\n");
+                          }),
+         &plain, JobStatus::Failed, "\"error\""},
+        {tinyMicro("codec/timeout", SyncMicro::TtasLock,
+                   Technique::Invalidation),
+         &tight, JobStatus::TimedOut, "\"timeout\""},
+    };
+    for (const Cell& c : cells) {
+        SCOPED_TRACE(c.job.key);
+        JobOutcome out = runJob(c.job, *c.dcfg);
+        ASSERT_EQ(out.status, c.want) << out.error;
+        out.attempts = 2;
+        out.quarantined = !out.ok;
+        const std::string row = serializeRunRow(c.job, out);
+        EXPECT_NE(row.find(c.mustContain), std::string::npos) << row;
 
-    EXPECT_EQ(serializeRunRow(runner.job(0), outcomes[0]),
-              serializeRunRow(runner.job(0), parsed));
-    // And the payload itself is a fixed point of the codec.
-    EXPECT_EQ(serializeChildPayload(parsed), payload);
+        std::string err;
+        const JsonValue doc = JsonValue::parse(row, err);
+        ASSERT_TRUE(err.empty()) << err;
+        const JobOutcome back = parseRunRow(doc);
+        EXPECT_EQ(serializeRunRow(c.job, back), row);
+        EXPECT_EQ(back.ok, out.ok);
+        EXPECT_EQ(back.status, out.status);
+        EXPECT_EQ(back.error, out.error);
+        EXPECT_EQ(back.attempts, 2u);
+        EXPECT_EQ(back.quarantined, out.quarantined);
+        if (c.dcfg == &observed) {
+            // Every optional array is present and round-trips.
+            EXPECT_FALSE(back.result.run.epochs.empty());
+            EXPECT_FALSE(back.result.run.contention.empty());
+            EXPECT_FALSE(back.result.run.causal.empty());
+        }
+    }
+}
+
+TEST(Isolation, BackstopPollTimeoutRoundsUpAndSaturates)
+{
+    EXPECT_EQ(backstopPollMs(0.0), -1);
+    EXPECT_EQ(backstopPollMs(-1.0), -1);
+    EXPECT_EQ(backstopPollMs(std::nan("")), -1);
+    EXPECT_EQ(backstopPollMs(0.0001), 1); // never rounds down to 0
+    EXPECT_EQ(backstopPollMs(2.5), 2500);
+    // The backstop for a 536871 s --job-timeout-s is 4x that: past
+    // INT_MAX ms.
+    EXPECT_EQ(backstopPollMs(4 * 536871.0), INT_MAX);
+    EXPECT_EQ(backstopPollMs(1e308 * 4.0), INT_MAX); // +inf
 }
 
 TEST(ResultCodec, JobConfigHashSeparatesConfigsAndSweeps)
@@ -365,6 +425,11 @@ TEST(Retry, ExhaustedRetriesQuarantineTheCell)
     EXPECT_TRUE(jerr.empty()) << jerr;
     EXPECT_EQ(job_doc.getString("key"), "quar/always-fails");
     EXPECT_EQ(job_doc.getString("status"), "failed");
+    // job.json is exactly the cell's failed artifact row.
+    std::ifstream job_json(bundle / "job.json");
+    const std::string job_text((std::istreambuf_iterator<char>(job_json)),
+                               std::istreambuf_iterator<char>());
+    EXPECT_EQ(job_text, serializeRunRow(runner.job(0), outcomes[0]) + "\n");
 
     // The artifact row advertises the quarantine.
     ResultSink sink("quarantine_test");
@@ -441,37 +506,6 @@ TEST(Chaos, FaultPlanParserAcceptsSitesAndRejectsGarbage)
     EXPECT_FALSE(error.empty());
     HarnessFaultPlan::parse("made-up-site@1", error);
     EXPECT_FALSE(error.empty());
-}
-
-TEST(ResultSink, ReplayedRowIsSplicedVerbatim)
-{
-    // Two sinks over the same cell: one fresh, one replaying the
-    // fresh sink's serialized row — the artifacts must match exactly.
-    SweepRunner runner(1);
-    runner.add(tinyMicro("replay/cell", SyncMicro::TtasLock,
-                         Technique::CbOne));
-    const auto outcomes = runner.run();
-    ASSERT_TRUE(outcomes[0].ok);
-    const std::string row = serializeRunRow(runner.job(0), outcomes[0]);
-
-    ResultSink fresh("replay_test");
-    fresh.meta("cores", "4");
-    fresh.add(runner.job(0), outcomes[0]);
-
-    std::string parse_error;
-    const JsonValue row_doc = JsonValue::parse(row, parse_error);
-    ASSERT_TRUE(parse_error.empty()) << parse_error;
-    JobOutcome replayed;
-    replayed.ok = true;
-    replayed.status = JobStatus::Ok;
-    replayed.result = parseRowResult(row_doc);
-
-    ResultSink resumed("replay_test");
-    resumed.meta("cores", "4");
-    resumed.addReplayed(runner.job(0), row, replayed);
-
-    EXPECT_EQ(fresh.toJson(), resumed.toJson());
-    EXPECT_TRUE(resumed.allOk());
 }
 
 } // namespace

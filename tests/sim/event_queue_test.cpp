@@ -87,19 +87,6 @@ TEST(EventQueue, TickBudgetDetectsRunaway)
     EXPECT_THROW(eq.run(10'000), FatalError);
 }
 
-TEST(EventQueue, StepExecutesExactlyOneEvent)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(1, [&] { ++fired; });
-    eq.schedule(2, [&] { ++fired; });
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 1);
-    EXPECT_TRUE(eq.step());
-    EXPECT_EQ(fired, 2);
-    EXPECT_FALSE(eq.step());
-}
-
 TEST(EventQueue, ExecutedEventCountIsAccurate)
 {
     EventQueue eq;
