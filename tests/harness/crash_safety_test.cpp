@@ -128,6 +128,29 @@ TEST(ResultCodec, RunRowIsAFixedPointOfParseRunRow)
     }
 }
 
+TEST(ResultCodec, ChildPayloadRoundTripsToIdenticalRow)
+{
+    // The byte-identity hinge of --isolate: a result that crossed the
+    // pipe must serialize to the exact same artifact row as the
+    // in-process original, and the host-only counters must cross too.
+    const SweepJob job =
+        tinyMicro("codec/cell", SyncMicro::ClhLock, Technique::CbOne);
+    const DebugConfig dcfg = DebugConfig::current();
+    const JobOutcome inline_out = runJob(job, dcfg);
+    ASSERT_TRUE(inline_out.ok) << inline_out.error;
+
+    JobOutcome isolated = runJobIsolated(job, dcfg, 0.0, false);
+    ASSERT_TRUE(isolated.ok) << isolated.error;
+    EXPECT_EQ(isolated.status, JobStatus::Ok);
+    isolated.attempts = inline_out.attempts;
+
+    EXPECT_EQ(serializeRunRow(job, isolated),
+              serializeRunRow(job, inline_out));
+    EXPECT_EQ(isolated.result.run.events, inline_out.result.run.events);
+    EXPECT_GT(isolated.result.run.events, 0u);
+    EXPECT_GE(isolated.result.run.simWallMs, 0.0);
+}
+
 TEST(Isolation, BackstopPollTimeoutRoundsUpAndSaturates)
 {
     EXPECT_EQ(backstopPollMs(0.0), -1);
@@ -506,6 +529,37 @@ TEST(Chaos, FaultPlanParserAcceptsSitesAndRejectsGarbage)
     EXPECT_FALSE(error.empty());
     HarnessFaultPlan::parse("made-up-site@1", error);
     EXPECT_FALSE(error.empty());
+}
+
+TEST(ResultSink, ReplayedRowIsSplicedVerbatim)
+{
+    // Two sinks over the same cell: one fresh, one fed the outcome
+    // that --resume decodes from the fresh sink's serialized row —
+    // the artifacts must match exactly.
+    SweepRunner runner(1);
+    runner.add(tinyMicro("replay/cell", SyncMicro::TtasLock,
+                         Technique::CbOne));
+    const auto outcomes = runner.run();
+    ASSERT_TRUE(outcomes[0].ok);
+    const std::string row = serializeRunRow(runner.job(0), outcomes[0]);
+
+    ResultSink fresh("replay_test");
+    fresh.meta("cores", "4");
+    fresh.add(runner.job(0), outcomes[0]);
+
+    std::string parse_error;
+    const JsonValue row_doc = JsonValue::parse(row, parse_error);
+    ASSERT_TRUE(parse_error.empty()) << parse_error;
+    const JobOutcome replayed = parseRunRow(row_doc);
+    EXPECT_TRUE(replayed.ok);
+    EXPECT_EQ(replayed.attempts, outcomes[0].attempts);
+
+    ResultSink resumed("replay_test");
+    resumed.meta("cores", "4");
+    resumed.add(runner.job(0), replayed);
+
+    EXPECT_EQ(fresh.toJson(), resumed.toJson());
+    EXPECT_TRUE(resumed.allOk());
 }
 
 } // namespace
