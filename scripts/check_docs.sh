@@ -23,6 +23,8 @@
 #      docs/*.md) is read somewhere under src/ as the string literal
 #      "CBSIM_NAME". CMake cache options declared in CMakeLists.txt
 #      (`option(CBSIM_...)`, `set(CBSIM_... CACHE ...)`) are exempt.
+#   8. The host-perf schema heading in docs/PERF.md names the version
+#      bench/perf_kernel.cpp writes as `schema_version`.
 #
 # Usage: scripts/check_docs.sh [repo-root]   (default: script's parent)
 
@@ -221,8 +223,21 @@ for k in $knobs; do
     fi
 done
 
+# ---- 8. host-perf schema version of docs/PERF.md ---------------------------
+doc_ver=$(sed -n 's/^## Host-perf artifact schema (`cbsim-host-perf`, version \([0-9]*\)).*/\1/p' \
+              docs/PERF.md)
+code_ver=$(sed -n 's/.*"schema_version", \([0-9]*\)u*).*/\1/p' \
+               bench/perf_kernel.cpp)
+if [ -z "$doc_ver" ] || [ -z "$code_ver" ]; then
+    err "could not parse the host-perf schema version from docs/PERF.md" \
+        "or bench/perf_kernel.cpp"
+elif [ "$doc_ver" != "$code_ver" ]; then
+    err "docs/PERF.md heading says host-perf schema version $doc_ver," \
+        "bench/perf_kernel.cpp writes $code_ver"
+fi
+
 if [ "$fail" -eq 0 ]; then
     echo "check_docs: OK (subsystems, opcodes, invariants, links, stats," \
-         "crash-safety, settings)"
+         "crash-safety, settings, host-perf schema)"
 fi
 exit $fail

@@ -10,9 +10,16 @@ std::string
 Program::listing() const
 {
     std::ostringstream os;
-    for (std::size_t i = 0; i < code_.size(); ++i)
-        os << i << ": " << code_[i].toString() << '\n';
+    for (std::size_t i = 0; i < size(); ++i)
+        os << i << ": " << at(i).toString() << '\n';
     return os.str();
+}
+
+const std::map<Addr, std::string>&
+Program::symbols() const
+{
+    static const std::map<Addr, std::string> none;
+    return body_ ? body_->symbols : none;
 }
 
 void
@@ -27,14 +34,23 @@ Assembler::label(const std::string& name)
 void
 Assembler::dataSymbol(const std::string& name, Addr addr)
 {
-    symbols_.emplace(addr, name); // first binding wins
+    // First binding wins; a repeat is a lookup that copies nothing.
+    symbols_.try_emplace(addr, name);
+}
+
+std::string
+Assembler::uniqueLabel(const char* stem) const
+{
+    return std::string(stem) + "_" + std::to_string(code_.size());
 }
 
 Instruction&
 Assembler::emit(Instruction ins)
 {
-    // Programs run tens to hundreds of instructions; one up-front
-    // reservation replaces the doubling cascade from capacity 1.
+    // Programs run from a handful of instructions (unit tests, idle
+    // cores) to thousands (apps64 averages about 5,000 per thread).
+    // One up-front reservation skips the first doublings from capacity
+    // 1; beyond it, geometric growth is amortised O(1) per instruction.
     if (code_.capacity() == 0)
         code_.reserve(128);
     code_.push_back(ins);

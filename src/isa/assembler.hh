@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -21,26 +22,40 @@
 
 namespace cbsim {
 
-/** An immutable, fully-resolved instruction sequence for one thread. */
+/**
+ * An immutable, fully-resolved instruction sequence for one thread.
+ *
+ * The code and symbols live in shared immutable storage, so copying a
+ * Program (Chip::setProgram takes one by value) bumps a reference
+ * count instead of duplicating thousands of instructions; every copy
+ * reads the same instructions at the same addresses.
+ */
 class Program
 {
   public:
     Program() = default;
     explicit Program(std::vector<Instruction> code,
                      std::map<Addr, std::string> symbols = {})
-        : code_(std::move(code)), symbols_(std::move(symbols))
+        : body_(std::make_shared<const Body>(
+              Body{std::move(code), std::move(symbols)})),
+          code_(body_->code.data()), size_(body_->code.size())
     {
     }
+
+    // Copy-only: a copy is a reference-count bump, and a moved-from
+    // Program would keep code_ pointing at storage it no longer owns.
+    Program(const Program&) = default;
+    Program& operator=(const Program&) = default;
 
     const Instruction&
     at(std::uint64_t pc) const
     {
-        CBSIM_ASSERT(pc < code_.size(), "pc out of range");
+        CBSIM_ASSERT(pc < size_, "pc out of range");
         return code_[pc];
     }
 
-    std::size_t size() const { return code_.size(); }
-    bool empty() const { return code_.empty(); }
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
 
     /** Disassembly listing (for debugging and docs). */
     std::string listing() const;
@@ -51,11 +66,20 @@ class Program
      * addresses against this map so reports print "lock0" /
      * "barrier0.counter" instead of raw hex.
      */
-    const std::map<Addr, std::string>& symbols() const { return symbols_; }
+    const std::map<Addr, std::string>& symbols() const;
 
   private:
-    std::vector<Instruction> code_;
-    std::map<Addr, std::string> symbols_;
+    struct Body
+    {
+        std::vector<Instruction> code;
+        std::map<Addr, std::string> symbols;
+    };
+
+    std::shared_ptr<const Body> body_;
+    // body_->code's storage, cached so Core::step's fetch is one load
+    // away from the Program rather than two.
+    const Instruction* code_ = nullptr;
+    std::size_t size_ = 0;
 };
 
 /**
@@ -76,10 +100,22 @@ class Assembler
 
     /**
      * Bind @p name to data address @p addr in the emitted Program's
-     * symbol table. First binding wins (sync emitters re-register on
-     * every episode); an address may carry only one name.
+     * symbol table. First binding wins; an address may carry only one
+     * name. The sync emitters name a handle's addresses on its first
+     * emission into this assembler and skip the names on later
+     * episodes (see hasDataSymbol).
      */
     void dataSymbol(const std::string& name, Addr addr);
+
+    /** True once some name is bound to data address @p addr. */
+    bool hasDataSymbol(Addr addr) const { return symbols_.count(addr) != 0; }
+
+    /**
+     * A label unique within this assembler, spelled "<stem>_N" with N
+     * the next instruction's index. The sync emitters name each
+     * episode's branch targets with it, so episodes never collide.
+     */
+    std::string uniqueLabel(const char* stem) const;
 
     // --- ALU / control -------------------------------------------------
     Instruction& movImm(Reg rd, std::uint64_t imm);

@@ -59,7 +59,8 @@ class SyncLayout
      * Next instance name for @p stem: "lock0", "lock1", "barrier0" —
      * one counter per stem, so names are stable and unique within a
      * layout. Used by the sync make* builders to name handles; the
-     * emitters register those names as data symbols for attribution.
+     * emitters bind those names as data symbols for attribution, once
+     * per handle per program (on its first emission into an Assembler).
      */
     std::string autoName(const std::string& stem);
 

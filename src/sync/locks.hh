@@ -118,7 +118,9 @@ void emitRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 /**
  * Bind @p lock's attribution symbols (name, name.next_ticket,
  * name.nodeI) into @p a's data-symbol table. Called by the emitters;
- * no-op for an unnamed handle.
+ * no-op for an unnamed handle and on every emission after the first
+ * into @p a (its lock word is already named then, and each address
+ * belongs to exactly one handle).
  */
 void registerLockSymbols(Assembler& a, const LockHandle& lock);
 

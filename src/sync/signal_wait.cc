@@ -6,12 +6,6 @@ namespace cbsim {
 
 namespace {
 
-std::string
-uniq(const Assembler& a, const char* stem)
-{
-    return std::string(stem) + "_" + std::to_string(a.size());
-}
-
 bool
 fenced(SyncFlavor f)
 {
@@ -32,6 +26,10 @@ makeSignal(SyncLayout& layout)
 
 namespace {
 
+/**
+ * Name the signal's counter in @p a. The name is the handle's own
+ * string, so a repeat emission costs dataSymbol's one lookup.
+ */
 void
 registerSignalSymbol(Assembler& a, const SignalHandle& s)
 {
@@ -79,8 +77,8 @@ emitWait(Assembler& a, const SignalHandle& s, SyncFlavor flavor,
     if (record)
         a.recordStart(SyncKind::Wait);
     a.movImm(sreg::addr, s.counter);
-    const auto spn = uniq(a, "spn");
-    const auto tad = uniq(a, "tad");
+    const auto spn = a.uniqueLabel("spn");
+    const auto tad = a.uniqueLabel("tad");
 
     const WakePolicy consume_wake =
         fenced(flavor) ? (flavor == SyncFlavor::VipsBackoff

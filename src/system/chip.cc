@@ -221,9 +221,10 @@ void
 Chip::setProgram(CoreId core, Program program)
 {
     // Merge the thread's data symbols chip-wide; emitters register the
-    // same handle names on every thread, so first binding wins.
+    // same handle names on every thread, so first binding wins and a
+    // name already merged is a lookup that copies nothing.
     for (const auto& [addr, name] : program.symbols())
-        symbols_.emplace(addr, name);
+        symbols_.try_emplace(addr, name);
     cores_.at(core)->setProgram(std::move(program));
 }
 

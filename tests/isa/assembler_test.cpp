@@ -141,6 +141,47 @@ TEST(Assembler, ListingShowsOpcodes)
     EXPECT_NE(text.find("ld_cb"), std::string::npos);
 }
 
+TEST(Assembler, UniqueLabelNamesTheNextInstruction)
+{
+    Assembler a;
+    EXPECT_EQ(a.uniqueLabel("spn"), "spn_0");
+    a.movImm(1, 1);
+    a.movImm(2, 2);
+    EXPECT_EQ(a.uniqueLabel("out"), "out_2");
+}
+
+TEST(Assembler, DataSymbolFirstBindingWins)
+{
+    Assembler a;
+    EXPECT_FALSE(a.hasDataSymbol(0x40));
+    a.dataSymbol("first", 0x40);
+    a.dataSymbol("second", 0x40);
+    EXPECT_TRUE(a.hasDataSymbol(0x40));
+    Program p = a.assemble();
+    ASSERT_EQ(p.symbols().size(), 1u);
+    EXPECT_EQ(p.symbols().at(0x40), "first");
+}
+
+TEST(Program, CopySharesInstructionStorage)
+{
+    Assembler a;
+    a.movImm(1, 7);
+    a.dataSymbol("flag", 0x80);
+    const Program p = a.assemble();
+    const Program q = p;
+    EXPECT_EQ(&q.at(0), &p.at(0));
+    EXPECT_EQ(&q.symbols(), &p.symbols());
+    EXPECT_EQ(q.size(), p.size());
+}
+
+TEST(Program, DefaultIsEmpty)
+{
+    const Program p;
+    EXPECT_TRUE(p.empty());
+    EXPECT_EQ(p.size(), 0u);
+    EXPECT_TRUE(p.symbols().empty());
+}
+
 TEST(AtomicEval, TestAndSet)
 {
     auto r = evalAtomic(AtomicFunc::TestAndSet, 0, 1, 0);
