@@ -3,11 +3,13 @@
  * Shared plumbing for the figure-reproduction benches.
  *
  * Each bench source file is a *module*: it registers its simulation
- * cells as declarative SweepJobs and provides a table printer. A shared
- * driver (bench_main.cc) parses the command line, fans the collected
- * jobs out across a SweepRunner worker pool (--jobs N, default: all
- * hardware threads), writes one versioned JSON artifact per module to
- * bench/results/ (schema: docs/RESULTS.md), and then prints the
+ * cells as declarative SweepJobs and provides a table printer. The
+ * shared benchMain (bench_main.cc) parses the command line, runs each
+ * distinct simulation once across a SweepRunner worker pool (--jobs N,
+ * default: all hardware threads) — cells of any module whose jobs are
+ * the same run (sameRun) share its one outcome — writes one versioned
+ * JSON artifact per module to bench/results/ (schema: docs/RESULTS.md),
+ * with every cell's row under its own key, and then prints the
  * paper-shaped tables. Runs are bit-identical regardless of --jobs.
  *
  * Every binary accepts --quick (16 cores, scaled-down workloads) and
@@ -85,7 +87,8 @@ void registerJob(SweepJob job);
 void registerCell(const std::string& key,
                   std::function<ExperimentResult()> fn);
 
-/** Result of a finished cell; fatal if @p key was never registered. */
+/** Result of a finished cell (the outcome of the run it shares);
+ * fatal if @p key was never registered. */
 const ExperimentResult& result(const std::string& key);
 
 /** Mean sync latency over the kinds a micro-bench exercises. */

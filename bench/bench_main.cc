@@ -1,8 +1,10 @@
 /**
  * @file
  * Shared driver for every bench binary (and bench_all, which links all
- * modules). Collects the registered modules' SweepJobs, executes them
- * on a SweepRunner worker pool, writes one JSON artifact per module,
+ * modules). Collects the registered modules' SweepJobs, maps each cell
+ * to the first earlier cell with the same run identity (sameRun), runs
+ * each distinct simulation once on a SweepRunner worker pool, writes
+ * one JSON artifact per module (every cell's row under its own key),
  * and prints the paper-shaped tables in module order.
  */
 
@@ -17,7 +19,6 @@
 #include <iostream>
 #include <map>
 #include <memory>
-#include <set>
 
 #include "debug/debug_config.hh"
 #include "harness/journal.hh"
@@ -52,11 +53,20 @@ currentModule()
     return name;
 }
 
-std::map<std::string, ExperimentResult>&
-cache()
+/** One outcome per distinct run, in order of first registration. */
+std::vector<JobOutcome>&
+runs()
 {
-    static std::map<std::string, ExperimentResult> c;
-    return c;
+    static std::vector<JobOutcome> r;
+    return r;
+}
+
+/** Cell key -> index of its run in runs(). */
+std::map<std::string, std::size_t>&
+runOfKey()
+{
+    static std::map<std::string, std::size_t> m;
+    return m;
 }
 
 void
@@ -148,10 +158,10 @@ registerCell(const std::string& key, std::function<ExperimentResult()> fn)
 const ExperimentResult&
 result(const std::string& key)
 {
-    auto it = cache().find(key);
-    if (it == cache().end())
+    const auto it = runOfKey().find(key);
+    if (it == runOfKey().end() || it->second >= runs().size())
         fatal("bench cell not run: ", key);
-    return it->second;
+    return runs()[it->second].result;
 }
 
 /** Parse a --job-timeout-s value: a finite, non-negative decimal
@@ -378,16 +388,33 @@ benchMain(int argc, char** argv)
     runner.setQuarantineDir(quarantine_dir);
     runner.setRerunPrefix(rerun_prefix);
 
-    // One outcome per registered cell, index-aligned with pending:
-    // journaled cells are decoded here, the runner fills in the rest.
+    // A cell is its config: each registered cell maps to the first
+    // earlier cell with the same run identity, and only that first cell
+    // is looked up in the journal or handed to the runner. Every other
+    // cell's row is the same outcome written under its own key.
     const auto& pending = pendingJobs();
-    std::vector<JobOutcome> outcomes(pending.size());
-    std::vector<std::size_t> to_run; // runner index -> pending index
-    std::set<std::string> seen_keys;
+    std::vector<std::size_t> first_cell; // run index -> pending index
     for (std::size_t p = 0; p < pending.size(); ++p) {
         const SweepJob& job = pending[p].second;
-        if (!seen_keys.insert(job.key).second)
+        std::size_t r = 0;
+        while (r < first_cell.size() &&
+               !sameRun(pending[first_cell[r]].second, job))
+            ++r;
+        if (r == first_cell.size())
+            first_cell.push_back(p);
+        if (!runOfKey().emplace(job.key, r).second)
             fatal("duplicate bench cell key: ", job.key);
+    }
+    const auto run_of = [&](std::size_t p) {
+        return runOfKey().at(pending[p].second.key);
+    };
+
+    // Journaled runs are decoded here, the runner fills in the rest.
+    std::vector<JobOutcome>& outcomes = runs();
+    outcomes.assign(first_cell.size(), JobOutcome());
+    std::vector<std::size_t> to_run; // runner index -> run index
+    for (std::size_t r = 0; r < first_cell.size(); ++r) {
+        const SweepJob& job = pending[first_cell[r]].second;
         const auto jr = journal_rows.find(jobConfigHash(
             job, ResultSink::kSchemaVersion, sweep_meta));
         if (jr != journal_rows.end()) {
@@ -396,18 +423,19 @@ benchMain(int argc, char** argv)
                 JsonValue::parse(jr->second, parse_error);
             if (parse_error.empty() &&
                 row.getString("key") == job.key) {
-                outcomes[p] = parseRunRow(row);
+                outcomes[r] = parseRunRow(row);
                 continue;
             }
         }
-        to_run.push_back(p);
+        to_run.push_back(r);
         runner.add(job);
     }
 
-    // Journals are written as cells complete, one flushed line each, so
-    // a killed sweep only loses the in-flight cell (--resume replays
-    // the rest). Only successful cells are journaled: failures are
-    // retried by the resumed run instead of replayed.
+    // Journals are written as runs complete, one flushed line each, so
+    // a killed sweep only loses the in-flight run (--resume replays the
+    // rest). A run's line goes to the journal of the module that
+    // registered its first cell. Only successful runs are journaled:
+    // failures are retried by the resumed run instead of replayed.
     std::map<std::string, std::unique_ptr<ResultJournal>> journals;
     if (mode().writeJson)
         for (const auto& m : mods)
@@ -415,11 +443,12 @@ benchMain(int argc, char** argv)
                                          journal_path(m.name)));
 
     const std::size_t total = runner.jobCount();
-    std::cout << "cbsim bench: " << total << " simulations on "
-              << runner.workers() << " worker thread(s)";
-    if (total < pending.size())
-        std::cout << " (" << pending.size() - total
-                  << " cells replayed from journal)";
+    std::cout << "cbsim bench: " << total << " simulations for "
+              << pending.size() << " cells on " << runner.workers()
+              << " worker thread(s)";
+    if (total < outcomes.size())
+        std::cout << " (" << outcomes.size() - total
+                  << " runs replayed from journal)";
     std::cout << "\n";
 
     const auto t0 = std::chrono::steady_clock::now();
@@ -436,7 +465,8 @@ benchMain(int argc, char** argv)
             std::cout << "\n";
             if (out.ok && !journals.empty()) {
                 const SweepJob& job = runner.job(i);
-                const auto it = journals.find(pending[to_run[i]].first);
+                const auto it =
+                    journals.find(pending[first_cell[to_run[i]]].first);
                 if (it != journals.end())
                     it->second->append(
                         jobConfigHash(job, ResultSink::kSchemaVersion,
@@ -452,11 +482,6 @@ benchMain(int argc, char** argv)
     for (std::size_t i = 0; i < ran.size(); ++i)
         outcomes[to_run[i]] = std::move(ran[i]);
 
-    // Publish results for the table printers (failed cells print as
-    // zeros and are reported at the end).
-    for (std::size_t p = 0; p < pending.size(); ++p)
-        cache()[pending[p].second.key] = outcomes[p].result;
-
     for (const auto& m : mods) {
         ResultSink sink(m.name);
         sink.meta("cores", std::to_string(mode().cores));
@@ -464,7 +489,7 @@ benchMain(int argc, char** argv)
         sink.meta("micro_iters", std::to_string(mode().microIters));
         for (std::size_t p = 0; p < pending.size(); ++p)
             if (pending[p].first == m.name)
-                sink.add(pending[p].second, outcomes[p]);
+                sink.add(pending[p].second, outcomes[run_of(p)]);
         if (mode().writeJson) {
             const std::string path =
                 mode().outDir + "/" + m.name + ".json";
@@ -490,20 +515,18 @@ benchMain(int argc, char** argv)
     if (mode().profile) {
         // Host-perf summary: stderr only, never into the JSON artifacts
         // (docs/RESULTS.md determinism contract; schema: docs/PERF.md).
-        std::uint64_t all_events = 0;
-        double all_wall = 0.0;
+        // A module line counts every cell it registered, so a shared
+        // run counts under each module; the total counts each run once.
+        // Replayed runs carry no host-perf numbers: both are 0.
         for (const auto& m : mods) {
             std::uint64_t events = 0;
             double wall_ms = 0.0;
-            // Replayed cells carry no host-perf numbers: both are 0.
             for (std::size_t p = 0; p < pending.size(); ++p) {
                 if (pending[p].first != m.name)
                     continue;
-                events += outcomes[p].result.run.events;
-                wall_ms += outcomes[p].wallMs;
+                events += outcomes[run_of(p)].result.run.events;
+                wall_ms += outcomes[run_of(p)].wallMs;
             }
-            all_events += events;
-            all_wall += wall_ms;
             std::cerr << "[profile] " << m.name << ": " << events
                       << " events, " << fmt(wall_ms, 1) << " ms, "
                       << fmt(wall_ms > 0.0
@@ -512,6 +535,12 @@ benchMain(int argc, char** argv)
                                  : 0.0,
                              2)
                       << " Mev/s\n";
+        }
+        std::uint64_t all_events = 0;
+        double all_wall = 0.0;
+        for (const JobOutcome& out : outcomes) {
+            all_events += out.result.run.events;
+            all_wall += out.wallMs;
         }
         std::cerr << "[profile] total: " << all_events << " events, "
                   << fmt(all_wall, 1) << " ms, "
@@ -529,13 +558,15 @@ benchMain(int argc, char** argv)
         for (const auto& m : mods)
             m.print();
 
+    // One line per failed run, named by its first cell; every cell
+    // sharing the run carries the same failed row.
     unsigned failures = 0;
-    for (std::size_t p = 0; p < pending.size(); ++p) {
-        if (!outcomes[p].ok) {
+    for (std::size_t r = 0; r < outcomes.size(); ++r) {
+        if (!outcomes[r].ok) {
             ++failures;
-            std::cerr << "FAILED (" << jobStatusName(outcomes[p].status)
-                      << "): " << pending[p].second.key << ": "
-                      << outcomes[p].error << "\n";
+            std::cerr << "FAILED (" << jobStatusName(outcomes[r].status)
+                      << "): " << pending[first_cell[r]].second.key
+                      << ": " << outcomes[r].error << "\n";
         }
     }
     if (failures) {

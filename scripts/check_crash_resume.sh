@@ -13,7 +13,13 @@
 #     row still matches the fault-free artifact;
 #  3. retry healing: with transient-once + --retries 1 every cell
 #     recovers on its second attempt ("attempts": 2) and the sweep
-#     exits clean.
+#     exits clean;
+#  4. shared runs survive kill/resume: fig01_motivation and fig20_sync
+#     register ten identical cells, which run once each and are
+#     journaled under fig01_motivation. A sweep of both modules,
+#     SIGKILLed after journaling at least one shared run and then
+#     resumed, publishes both artifacts byte-identical to an
+#     uninterrupted run's.
 #
 # Usage: check_crash_resume.sh <repo-root> <bench_all-binary> <scratch-dir>
 
@@ -142,6 +148,58 @@ if ! grep -q '"attempts": 2' "$scratch/retry/$module.json"; then
     echo "check_crash_resume: retried rows do not record attempts=2" >&2
     status=1
 fi
+
+# --- 5. Shared runs across two modules: kill, then --resume --------------
+pair="$bin --only fig01_motivation --only fig20_sync --smoke --isolate --jobs 1"
+if ! $pair --out-dir "$scratch/pair-base" > "$scratch/pair-base.log" 2>&1
+then
+    echo "check_crash_resume: two-module baseline sweep failed:" >&2
+    tail -n 20 "$scratch/pair-base.log" >&2
+    exit 1
+fi
+# "cbsim bench: <runs> simulations for <cells> cells on ..."
+set -- $(head -n 1 "$scratch/pair-base.log")
+if [ "${3:-0}" -ge "${6:-0}" ]; then
+    echo "check_crash_resume: two-module sweep shares no run: $*" >&2
+    status=1
+fi
+CBSIM_HARNESS_FAULTS="sweep-kill@3" \
+    $pair --out-dir "$scratch/pair" > "$scratch/pair-killed.log" 2>&1
+if [ $? -eq 0 ]; then
+    echo "check_crash_resume: two-module sweep-kill@3 run exited 0" >&2
+    status=1
+fi
+# A journaled fig01 run is shared when fig20 registered the same cell.
+shared=0
+pair_journal="$scratch/pair/fig01_motivation.json.journal"
+for cell in $(sed -n 's|^{"cell": "[0-9a-f]*", "row": "{\\n  \\"key\\": \\"fig01/\([^\\]*\)\\".*$|\1|p' \
+                  "$pair_journal" 2>/dev/null); do
+    grep -q "\"key\": \"fig20/$cell\"" \
+        "$scratch/pair-base/fig20_sync.json" && shared=$((shared + 1))
+done
+if [ "$shared" -lt 1 ]; then
+    echo "check_crash_resume: killed two-module sweep journaled no" \
+         "shared run" >&2
+    status=1
+fi
+if ! $pair --resume --out-dir "$scratch/pair" \
+        > "$scratch/pair-resume.log" 2>&1; then
+    echo "check_crash_resume: two-module --resume run failed:" >&2
+    tail -n 20 "$scratch/pair-resume.log" >&2
+    status=1
+fi
+if ! grep -q "runs replayed from journal" "$scratch/pair-resume.log"; then
+    echo "check_crash_resume: two-module --resume replayed nothing" >&2
+    status=1
+fi
+for m in fig01_motivation fig20_sync; do
+    if ! cmp -s "$scratch/pair-base/$m.json" "$scratch/pair/$m.json"; then
+        echo "check_crash_resume: resumed $m differs from baseline:" >&2
+        diff -u "$scratch/pair-base/$m.json" "$scratch/pair/$m.json" |
+            head -n 40 >&2
+        status=1
+    fi
+done
 
 [ "$status" -eq 0 ] && echo "check_crash_resume: OK"
 exit $status

@@ -6,7 +6,7 @@
 namespace cbsim {
 
 ExperimentResult
-finishExperiment(Chip& chip, WorkloadBuild w, bool check_guards)
+finishExperiment(Chip& chip, const WorkloadBuild& w, bool check_guards)
 {
     ExperimentResult res;
     res.run = chip.run();
@@ -22,7 +22,6 @@ finishExperiment(Chip& chip, WorkloadBuild w, bool check_guards)
         }
     }
     res.energy = computeEnergy(res.run);
-    res.workload = std::move(w);
     return res;
 }
 
@@ -44,7 +43,7 @@ runExperiment(const Profile& profile, Technique technique, unsigned cores,
 
     const bool check = profile.lockedSharedData &&
                        profile.lockAcqPerPhase > 0;
-    return finishExperiment(chip, std::move(w), check);
+    return finishExperiment(chip, w, check);
 }
 
 const char*
@@ -136,7 +135,7 @@ runSyncMicro(SyncMicro micro, Technique technique, unsigned cores,
     w.layout.apply(chip.dataStore());
     for (CoreId t = 0; t < cores; ++t)
         chip.setProgram(t, w.programs[t]);
-    return finishExperiment(chip, std::move(w), is_lock);
+    return finishExperiment(chip, w, is_lock);
 }
 
 } // namespace cbsim

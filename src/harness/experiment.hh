@@ -32,14 +32,15 @@ struct SyncChoice
     {
         return {LockAlgo::TestAndTestAndSet, BarrierAlgo::SenseReversing};
     }
+
+    bool operator==(const SyncChoice&) const = default;
 };
 
-/** Everything one simulation produced. */
+/** Everything one simulation produced: what its artifact row carries. */
 struct ExperimentResult
 {
     RunResult run;
     EnergyBreakdown energy;
-    WorkloadBuild workload; ///< for invariant checks in tests
 };
 
 /**
@@ -56,10 +57,11 @@ ExperimentResult runExperiment(const Profile& profile, Technique technique,
  * Run an already-loaded @p chip to completion and package the metrics.
  * When @p check_guards is set, verifies the mutual-exclusion invariant
  * (every guard word in @p w must equal its expected count) and calls
- * fatal() on violation. Building block for runExperiment/runSyncMicro
- * and for custom jobs driven through the SweepRunner.
+ * fatal() on violation; nothing of @p w is kept. Building block for
+ * runExperiment/runSyncMicro and for custom jobs driven through the
+ * SweepRunner.
  */
-ExperimentResult finishExperiment(Chip& chip, WorkloadBuild w,
+ExperimentResult finishExperiment(Chip& chip, const WorkloadBuild& w,
                                   bool check_guards);
 
 /**

@@ -50,8 +50,9 @@ std::string jobConfigHash(const SweepJob& job, unsigned schema_version,
 
 /**
  * Decode a serialized artifact row: status, ok, error, attempts,
- * quarantined and the full ExperimentResult (without the workload
- * build and the host-only events/simWallMs, which no row carries).
+ * quarantined and the full ExperimentResult, i.e. every member of a
+ * JobOutcome except the host-only wallMs, events and simWallMs, which
+ * no row carries.
  */
 JobOutcome parseRunRow(const JsonValue& row);
 

@@ -104,6 +104,18 @@ SweepJob::execute() const
     panic("corrupt sweep job kind");
 }
 
+bool
+sameRun(const SweepJob& a, const SweepJob& b)
+{
+    return a.kind != JobKind::Custom && b.kind == a.kind &&
+           a.technique == b.technique && a.cores == b.cores &&
+           a.choice == b.choice &&
+           a.cbEntriesPerBank == b.cbEntriesPerBank &&
+           a.profile == b.profile && a.micro == b.micro &&
+           a.iterations == b.iterations &&
+           a.workBetween == b.workBetween;
+}
+
 JobOutcome
 runJob(const SweepJob& job, const DebugConfig& dcfg)
 {

@@ -79,6 +79,16 @@ struct SweepJob
     ExperimentResult execute() const;
 };
 
+/**
+ * Run identity: whether @p a and @p b describe one simulation, so a
+ * sweep may run it once and give both cells its outcome. True when
+ * every input execute() reads is equal except `key`: kind, technique,
+ * cores, choice, cbEntriesPerBank, the whole Profile (every parameter,
+ * not only its name), micro, iterations and workBetween. Custom jobs
+ * never share a run: their configuration is opaque.
+ */
+bool sameRun(const SweepJob& a, const SweepJob& b);
+
 /** How a job ended (serialized as the results row's "status" field). */
 enum class JobStatus : std::uint8_t
 {
@@ -91,7 +101,8 @@ enum class JobStatus : std::uint8_t
 
 const char* jobStatusName(JobStatus s);
 
-/** What one job produced. */
+/** What one job produced: exactly what its artifact row carries
+ * (serializeRunRow) plus the host-only counters. */
 struct JobOutcome
 {
     bool ok = false;

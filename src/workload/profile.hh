@@ -58,6 +58,8 @@ struct Profile
 
     /** Rough per-thread dynamic instruction weight (for test sizing). */
     std::uint64_t approxWorkPerThread() const;
+
+    bool operator==(const Profile&) const = default;
 };
 
 } // namespace cbsim

@@ -62,7 +62,6 @@ buildWorkload(const Profile& profile, unsigned threads, SyncFlavor flavor,
     w.barrier = barrier_algo == BarrierAlgo::SenseReversing
                     ? makeSrBarrier(layout, threads, lock_algo)
                     : makeTreeBarrier(layout, threads);
-    w.phasesRun = profile.phases;
 
     if (profile.pipeline) {
         w.signals.reserve(threads);

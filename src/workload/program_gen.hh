@@ -39,7 +39,6 @@ struct WorkloadBuild
 
     /** Barrier-phase counter words, one per thread (private pages). */
     std::vector<Addr> phaseWords;
-    unsigned phasesRun = 0;
 };
 
 /**

@@ -3,7 +3,8 @@
  * Tests for the parallel sweep runner and the structured results layer:
  * submission-order collection, scheduling-independent (byte-identical)
  * JSON, and failure isolation — a job that trips the mutual-exclusion
- * invariant must report a failed outcome without affecting siblings.
+ * invariant must report a failed outcome without affecting siblings —
+ * and the run identity that lets a sweep share one run among cells.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <atomic>
 
 #include "debug/debug_config.hh"
+#include "harness/result_codec.hh"
 #include "harness/result_sink.hh"
 #include "harness/sweep.hh"
 #include "sync/locks.hh"
@@ -124,7 +126,7 @@ runGuardViolation()
         chip.setProgram(t, a.assemble());
         w.programs.push_back(Program{});
     }
-    return finishExperiment(chip, std::move(w), true);
+    return finishExperiment(chip, w, true);
 }
 
 TEST(SweepRunner, FailedJobIsIsolatedFromSiblings)
@@ -306,6 +308,71 @@ TEST(SweepRunner, JobTimeoutBecomesATimedOutRow)
     sink.add(runner.job(0), outcomes[0]);
     EXPECT_NE(sink.toJson().find("\"status\": \"timeout\""),
               std::string::npos);
+}
+
+TEST(SameRun, JobsDifferingOnlyInKeyShareARun)
+{
+    EXPECT_TRUE(sameRun(tinyMicro("fig01/CLH", SyncMicro::ClhLock,
+                                  Technique::CbOne),
+                        tinyMicro("fig20/CLH", SyncMicro::ClhLock,
+                                  Technique::CbOne)));
+    const Profile p = scaled(benchmark("fft"), 0.1);
+    const SweepJob a =
+        SweepJob::forProfile("fig21/fft", p, Technique::CbOne, 4);
+    const SweepJob b =
+        SweepJob::forProfile("fig22/fft", p, Technique::CbOne, 4);
+    EXPECT_TRUE(sameRun(a, b));
+
+    // The shared outcome serializes under each cell's own key into rows
+    // that differ in nothing else.
+    JobOutcome out = runJob(a, DebugConfig::current());
+    ASSERT_TRUE(out.ok) << out.error;
+    out.attempts = 1;
+    std::string row_b = serializeRunRow(b, out);
+    const std::string key_b = "\"key\": \"fig22/fft\"";
+    ASSERT_NE(row_b.find(key_b), std::string::npos);
+    row_b.replace(row_b.find(key_b), key_b.size(),
+                  "\"key\": \"fig21/fft\"");
+    EXPECT_EQ(serializeRunRow(a, out), row_b);
+}
+
+TEST(SameRun, AnyProfileParameterOrDirectorySizeSeparatesRuns)
+{
+    const Profile p = scaled(benchmark("fft"), 0.1);
+    const SweepJob base = SweepJob::forProfile("a", p, Technique::CbOne, 4);
+
+    // Same profile name, different parameters: a config hash that
+    // names only the workload would merge these.
+    Profile seeded = p;
+    seeded.seed ^= 1;
+    EXPECT_FALSE(sameRun(
+        base, SweepJob::forProfile("b", seeded, Technique::CbOne, 4)));
+    Profile phased = p;
+    phased.phases += 1;
+    EXPECT_FALSE(sameRun(
+        base, SweepJob::forProfile("c", phased, Technique::CbOne, 4)));
+
+    EXPECT_FALSE(sameRun(
+        base, SweepJob::forProfile("d", p, Technique::CbOne, 4,
+                                   SyncChoice::scalable(),
+                                   /*cb_entries_per_bank=*/16)));
+    EXPECT_FALSE(sameRun(
+        base, SweepJob::forProfile("e", p, Technique::CbOne, 4,
+                                   SyncChoice::naive())));
+    EXPECT_FALSE(sameRun(
+        base, SweepJob::forProfile("f", p, Technique::CbAll, 4)));
+    EXPECT_FALSE(sameRun(SweepJob::forMicro("g", SyncMicro::ClhLock,
+                                            Technique::CbOne, 4, 2, 500),
+                         SweepJob::forMicro("h", SyncMicro::ClhLock,
+                                            Technique::CbOne, 4, 2, 600)));
+}
+
+TEST(SameRun, CustomJobsNeverShare)
+{
+    const auto fn = [] { return ExperimentResult{}; };
+    const SweepJob a = SweepJob::custom("messages/CB-One", fn);
+    EXPECT_FALSE(sameRun(a, SweepJob::custom("messages/CB-All", fn)));
+    EXPECT_FALSE(sameRun(a, a));
 }
 
 } // namespace

@@ -54,9 +54,6 @@ TEST_P(TechniqueRun, TinyWorkloadCompletesWithInvariants)
     auto res = runExperiment(tinyProfile(), GetParam(), 16,
                              SyncChoice::scalable());
     EXPECT_GT(res.run.cycles, 0u);
-    // Every thread finished every phase.
-    // (phase words are thread-private, read back functionally)
-    EXPECT_EQ(res.workload.phasesRun, 2u);
 }
 
 TEST_P(TechniqueRun, NaiveSyncAlsoCompletes)
@@ -64,6 +61,24 @@ TEST_P(TechniqueRun, NaiveSyncAlsoCompletes)
     auto res = runExperiment(tinyProfile(), GetParam(), 16,
                              SyncChoice::naive());
     EXPECT_GT(res.run.cycles, 0u);
+}
+
+TEST_P(TechniqueRun, PhaseWordsReachPhaseCount)
+{
+    // Every thread finished every phase: each thread-private phase word
+    // is read back functionally after the run.
+    const Profile p = tinyProfile();
+    const Technique t = GetParam();
+    ChipConfig cfg = ChipConfig::forTechnique(t, 16);
+    auto w = buildWorkload(p, 16, syncFlavorFor(t), LockAlgo::Clh,
+                           BarrierAlgo::TreeSenseReversing);
+    Chip chip(cfg);
+    w.layout.apply(chip.dataStore());
+    for (CoreId c = 0; c < 16; ++c)
+        chip.setProgram(c, w.programs[c]);
+    chip.run();
+    for (CoreId c = 0; c < 16; ++c)
+        EXPECT_EQ(chip.dataStore().read(w.phaseWords[c]), p.phases);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -78,21 +93,6 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
-
-TEST(Workload, PhaseWordsReachPhaseCount)
-{
-    const Profile p = tinyProfile();
-    ChipConfig cfg = ChipConfig::forTechnique(Technique::CbOne, 16);
-    auto w = buildWorkload(p, 16, SyncFlavor::CbOne, LockAlgo::Clh,
-                           BarrierAlgo::TreeSenseReversing);
-    Chip chip(cfg);
-    w.layout.apply(chip.dataStore());
-    for (CoreId t = 0; t < 16; ++t)
-        chip.setProgram(t, w.programs[t]);
-    chip.run();
-    for (CoreId t = 0; t < 16; ++t)
-        EXPECT_EQ(chip.dataStore().read(w.phaseWords[t]), p.phases);
-}
 
 TEST(Workload, PipelineProfileCompletes)
 {
