@@ -268,6 +268,14 @@ benchMain(int argc, char** argv)
         }
     }
 
+    // Read the debug environment (CBSIM_OBS_EPOCH, ...) now, so a bad
+    // value stops the sweep like a bad flag does, before any cell runs.
+    try {
+        DebugConfig::processDefaults();
+    } catch (const FatalError&) {
+        return 2; // fatal() already named the variable on stderr
+    }
+
     auto mods = modules();
     std::sort(mods.begin(), mods.end(),
               [](const BenchModule& a, const BenchModule& b) {

@@ -7,7 +7,9 @@
 # and bench_all's --job-timeout-s through a finite-decimal one.
 # A malformed or out-of-range value must exit with status 2 and name
 # the flag on stderr — not abort on an uncaught exception (134) and not
-# wrap silently to a small count.
+# wrap silently to a small count. The same holds for bench_all's
+# numeric environment: a bad CBSIM_OBS_EPOCH exits 2 naming the
+# variable, before any cell runs.
 #
 # Usage: check_bench_flags.sh <bench_all-binary> <bench_perf_kernel-binary>
 
@@ -57,6 +59,26 @@ done
 for good in 0 0.0005 2.5 1e6; do
     if ! "$bench_all" --list --job-timeout-s "$good" > /dev/null 2>&1; then
         echo "check_bench_flags: --job-timeout-s $good rejected" >&2
+        status=1
+    fi
+done
+
+# CBSIM_OBS_EPOCH is a plain decimal tick count; unset, empty or 0 = off.
+for bad in -1 50k abc 99999999999999999999999 +1 ' 5'; do
+    CBSIM_OBS_EPOCH=$bad "$bench_all" --list > /dev/null 2> "$log"
+    rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "check_bench_flags: CBSIM_OBS_EPOCH='$bad' exited $rc, want 2" >&2
+        status=1
+    elif ! grep -q -- "CBSIM_OBS_EPOCH: " "$log"; then
+        echo "check_bench_flags: CBSIM_OBS_EPOCH='$bad' not named:" >&2
+        cat "$log" >&2
+        status=1
+    fi
+done
+for good in '' 0 50000 18446744073709551615; do
+    if ! CBSIM_OBS_EPOCH=$good "$bench_all" --list > /dev/null 2>&1; then
+        echo "check_bench_flags: CBSIM_OBS_EPOCH='$good' rejected" >&2
         status=1
     fi
 done

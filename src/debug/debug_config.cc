@@ -1,6 +1,11 @@
 #include "debug/debug_config.hh"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <system_error>
+
+#include "sim/log.hh"
 
 namespace cbsim {
 
@@ -21,11 +26,13 @@ fromEnvironment()
         cfg.checkInvariants = true;
     if (const char* dir = std::getenv("CBSIM_FORENSIC_DIR"))
         cfg.forensicDir = dir;
-    if (const char* epoch = std::getenv("CBSIM_OBS_EPOCH")) {
-        char* end = nullptr;
-        const unsigned long long ticks = std::strtoull(epoch, &end, 10);
-        if (end != epoch)
-            cfg.obs.epochTicks = static_cast<Tick>(ticks);
+    if (const char* epoch = std::getenv("CBSIM_OBS_EPOCH");
+        epoch != nullptr && epoch[0] != '\0') {
+        const char* end = epoch + std::strlen(epoch);
+        const auto [stop, ec] =
+            std::from_chars(epoch, end, cfg.obs.epochTicks);
+        if (ec != std::errc() || stop != end)
+            fatal("CBSIM_OBS_EPOCH: not a tick count: '", epoch, "'");
     }
     if (const char* dir = std::getenv("CBSIM_TRACE_DIR"))
         cfg.obs.traceDir = dir;

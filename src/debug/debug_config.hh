@@ -88,12 +88,6 @@ struct DebugConfig
     Tick noProgressWindow = 0;
 
     /**
-     * Track in-flight NoC messages for forensics and the end-of-run
-     * leak invariant. Enabled implicitly with invariant checking.
-     */
-    bool trackMessages = false;
-
-    /**
      * Per-chip wall-clock budget in seconds (0 = off). Checked
      * cooperatively at watchdog polls; trips as TimeoutError. The sweep
      * runner's --job-timeout-s installs this via DebugScope.
@@ -118,12 +112,6 @@ struct DebugConfig
      * same env → DebugScope → ChipConfig layering as everything else.
      */
     ObsConfig obs;
-
-    bool
-    trackMessagesEffective() const
-    {
-        return trackMessages || checkInvariants || faults.enabled();
-    }
 
     bool
     wantsPolling() const

@@ -10,8 +10,8 @@
 #include "coherence/vips/vips_l1.hh"
 #include "coherence/vips/vips_llc.hh"
 #include "core/core.hh"
-#include "debug/noc_tracker.hh"
 #include "mem/addr.hh"
+#include "noc/mesh.hh"
 #include "sim/log.hh"
 
 namespace cbsim {
@@ -230,7 +230,7 @@ InvariantChecker::checkLeaks(std::vector<std::string>& out) const
                 " parked callback waiters at end of run"));
         }
     }
-    if (src_.noc != nullptr && src_.noc->inFlight() != 0) {
+    if (src_.noc->inFlight() != 0) {
         std::size_t listed = 0;
         std::ostringstream os;
         src_.noc->forEachInFlight(

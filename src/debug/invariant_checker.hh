@@ -41,8 +41,8 @@
  *                            still open.
  *  - "waiter-no-leak":       (quiesce) no callback waiter is still
  *                            parked after all cores finished.
- *  - "noc-no-leak":          (quiesce) no tracked NoC message is still
- *                            undelivered.
+ *  - "noc-no-leak":          (quiesce) no packet is still in the
+ *                            mesh's packet pool (injected, undelivered).
  */
 
 #ifndef CBSIM_DEBUG_INVARIANT_CHECKER_HH
@@ -61,7 +61,7 @@ class MesiLlcBank;
 class VipsL1;
 class VipsLlcBank;
 class PageClassifier;
-class NocTracker;
+class Mesh;
 
 class InvariantChecker
 {
@@ -82,7 +82,7 @@ class InvariantChecker
         std::vector<const VipsL1*> vipsL1s;
         std::vector<const VipsLlcBank*> vipsBanks;
         const PageClassifier* classifier = nullptr;
-        const NocTracker* noc = nullptr;
+        const Mesh* noc = nullptr; ///< the chip's mesh (required)
     };
 
     explicit InvariantChecker(Sources src) : src_(std::move(src)) {}

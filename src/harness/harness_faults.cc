@@ -1,8 +1,10 @@
 #include "harness/harness_faults.hh"
 
+#include <charconv>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <system_error>
 
 #include "sim/log.hh"
 
@@ -40,10 +42,9 @@ splitSpec(const std::string& spec)
 bool
 parseCount(const std::string& s, unsigned& out)
 {
-    if (s.empty() || s.find_first_not_of("0123456789") != std::string::npos)
-        return false;
-    out = static_cast<unsigned>(std::strtoul(s.c_str(), nullptr, 10));
-    return out != 0;
+    const char* end = s.data() + s.size();
+    const auto [stop, ec] = std::from_chars(s.data(), end, out);
+    return ec == std::errc() && stop == end && out != 0;
 }
 
 } // namespace

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "debug/fault_injection.hh"
-#include "debug/noc_tracker.hh"
 #include "obs/causal.hh"
 #include "sim/log.hh"
 
@@ -82,109 +81,69 @@ Mesh::send(Message msg)
     packetsByType_[static_cast<std::size_t>(msg.type)].inc();
     if (causal_ != nullptr)
         recordCausalTraffic(msg);
-
-    if (tracker_ != nullptr || faults_ != nullptr) {
-        sendDebug(std::move(msg));
-        return;
-    }
-    if (msg.src == msg.dst) {
-        // Same-node core<->bank traffic never enters the network.
-        localDeliveries_.inc();
-        eq_.schedule(cfg_.localLatency,
-                     [this, msg = std::move(msg)] { deliver(msg); });
-        return;
-    }
-    const unsigned flits =
-        msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
-    hopDistance_.sample(hopCount(msg.src, msg.dst));
-    const NodeId src = msg.src;
-    hop(std::move(msg), src, flits);
-}
-
-void
-Mesh::hop(Message msg, NodeId at, unsigned flits)
-{
-    auto [next, dir] = nextHop(at, msg.dst);
-    const Tick start = routers_[at].reserve(dir, eq_.now(), flits);
-    flitHops_.inc(flits);
-    const Tick wait = start - eq_.now();
-
-    if (next == msg.dst) {
-        // Final hop: account tail serialization on delivery.
-        eq_.schedule(wait + cfg_.switchLatency + (flits - 1),
-                     [this, msg = std::move(msg)] { deliver(msg); });
-    } else {
-        eq_.schedule(wait + cfg_.switchLatency,
-                     [this, msg = std::move(msg), next, flits]() mutable {
-                         hop(std::move(msg), next, flits);
-                     });
-    }
-}
-
-void
-Mesh::sendDebug(Message msg)
-{
-    // Mirrors send()'s tail, threading a tracker slot through every hop
-    // closure and front-loading any injected fault delay. Lives off the
-    // hot path so the untracked send() stays unchanged.
-    const std::uint32_t slot =
-        tracker_ != nullptr ? tracker_->onInject(msg, eq_.now()) : 0;
     const Tick extra = faults_ != nullptr ? faults_->nocDelay() : 0;
 
-    if (msg.src == msg.dst) {
+    std::uint32_t slot;
+    if (free_.empty()) {
+        slot = static_cast<std::uint32_t>(pool_.size());
+        pool_.emplace_back();
+    } else {
+        slot = free_.back();
+        free_.pop_back();
+    }
+    Packet& p = pool_[slot];
+    p.msg = std::move(msg);
+    p.injectedAt = eq_.now();
+    p.at = p.msg.src;
+    p.live = true;
+
+    if (p.msg.src == p.msg.dst) {
+        // Same-node core<->bank traffic never enters the network.
         localDeliveries_.inc();
         eq_.schedule(cfg_.localLatency + extra,
-                   [this, msg = std::move(msg), slot] {
-                       if (tracker_ != nullptr)
-                           tracker_->onDeliver(slot);
-                       deliver(msg);
-                   });
+                     [this, slot] { deliver(slot); });
         return;
     }
-    const unsigned flits =
-        msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
-    hopDistance_.sample(hopCount(msg.src, msg.dst));
-    const NodeId src = msg.src;
-    if (extra == 0) {
-        hopDebug(std::move(msg), src, flits, slot);
-    } else {
-        eq_.schedule(extra,
-                   [this, msg = std::move(msg), src, flits,
-                    slot]() mutable {
-                       hopDebug(std::move(msg), src, flits, slot);
-                   });
-    }
+    p.flits = p.msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
+    hopDistance_.sample(hopCount(p.msg.src, p.msg.dst));
+    const NodeId src = p.msg.src;
+    if (extra == 0)
+        hop(slot, src);
+    else
+        eq_.schedule(extra, [this, slot, src] { hop(slot, src); });
 }
 
 void
-Mesh::hopDebug(Message msg, NodeId at, unsigned flits, std::uint32_t slot)
+Mesh::hop(std::uint32_t slot, NodeId at)
 {
-    if (tracker_ != nullptr)
-        tracker_->onHop(slot, at);
-    auto [next, dir] = nextHop(at, msg.dst);
-    const Tick start = routers_[at].reserve(dir, eq_.now(), flits);
-    flitHops_.inc(flits);
+    Packet& p = pool_[slot];
+    p.at = at;
+    auto [next, dir] = nextHop(at, p.msg.dst);
+    const Tick start = routers_[at].reserve(dir, eq_.now(), p.flits);
+    flitHops_.inc(p.flits);
     const Tick wait = start - eq_.now();
 
-    if (next == msg.dst) {
-        eq_.schedule(wait + cfg_.switchLatency + (flits - 1),
-                     [this, msg = std::move(msg), slot] {
-                         if (tracker_ != nullptr)
-                             tracker_->onDeliver(slot);
-                         deliver(msg);
-                     });
+    if (next == p.msg.dst) {
+        // Final hop: account tail serialization on delivery.
+        eq_.schedule(wait + cfg_.switchLatency + (p.flits - 1),
+                     [this, slot] { deliver(slot); });
     } else {
         eq_.schedule(wait + cfg_.switchLatency,
-                     [this, msg = std::move(msg), next, flits,
-                      slot]() mutable {
-                         hopDebug(std::move(msg), next, flits, slot);
-                     });
+                     [this, slot, next] { hop(slot, next); });
     }
 }
 
 void
-Mesh::deliver(const Message& msg)
+Mesh::deliver(std::uint32_t slot)
 {
+    Packet& p = pool_[slot];
+    CBSIM_ASSERT(p.live, "Mesh: double delivery of packet slot ", slot);
+    // The handler may send, and a send may grow the pool: hand it a copy
+    // and hold no reference into pool_ across the call.
+    const Message msg = std::move(p.msg);
+    p.live = false;
+    free_.push_back(slot);
+
     const auto& handler = msg.dstPort == Port::Core
                               ? coreHandlers_[msg.dst]
                               : bankHandlers_[msg.dst];

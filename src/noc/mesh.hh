@@ -6,12 +6,19 @@
  * core endpoint and an LLC-bank endpoint; delivery dispatches on
  * Message::dstPort. Traffic is accounted in flit-hops (the metric behind
  * the paper's "network traffic" figures) and per-message-type packets.
+ *
+ * Every injected packet lives in a recycled slot of the mesh's packet
+ * pool until it is delivered; hop and delivery events carry only the
+ * slot index. The pool is also the record the watchdog's forensic dump
+ * and the invariant checker's noc-no-leak check read, so the path they
+ * observe is the one every run takes.
  */
 
 #ifndef CBSIM_NOC_MESH_HH
 #define CBSIM_NOC_MESH_HH
 
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -22,7 +29,6 @@
 
 namespace cbsim {
 
-class NocTracker;
 class FaultInjector;
 class CausalTracker;
 
@@ -70,20 +76,25 @@ class Mesh
     std::uint64_t flitHops() const { return flitHops_.value(); }
 
     /**
-     * Install debug hooks (either may be null). With both null — the
-     * default — send() takes the original untracked path after two
-     * pointer compares, so production runs stay byte-identical.
-     * @p tracker records in-flight messages for forensics/leak checks;
-     * @p faults adds bounded injection delays (FaultPlan::nocDelay*).
+     * Install the fault injector (null, the default, turns it off):
+     * every injection then draws a bounded extra delay
+     * (FaultPlan::nocDelay*) before the packet enters the network.
      */
-    void
-    setDebug(NocTracker* tracker, FaultInjector* faults)
-    {
-        tracker_ = tracker;
-        faults_ = faults;
-    }
+    void setFaults(FaultInjector* faults) { faults_ = faults; }
 
-    const NocTracker* tracker() const { return tracker_; }
+    /** Packets injected and not yet delivered. */
+    std::size_t inFlight() const { return pool_.size() - free_.size(); }
+
+    /** Visit every undelivered packet: fn(msg, currentNode, injectedAt). */
+    template <typename Fn>
+    void
+    forEachInFlight(Fn&& fn) const
+    {
+        for (const Packet& p : pool_) {
+            if (p.live)
+                fn(p.msg, p.at, p.injectedAt);
+        }
+    }
 
     /**
      * Enable causal sync-episode tracing: at injection, each sync/spin
@@ -117,13 +128,20 @@ class Mesh
     /** Next hop (node, output direction) along the X-Y route. */
     std::pair<NodeId, Direction> nextHop(NodeId at, NodeId dst) const;
 
-    void hop(Message msg, NodeId at, unsigned flits);
-    void deliver(const Message& msg);
+    /** One injected packet; slots are recycled through free_. */
+    struct Packet
+    {
+        Message msg;
+        Tick injectedAt = 0;
+        NodeId at = 0;       ///< router the packet last arrived at
+        unsigned flits = 0;
+        bool live = false;
+    };
 
-    /** Cold path of send(): tracking and/or fault delay enabled. */
-    void sendDebug(Message msg);
-    void hopDebug(Message msg, NodeId at, unsigned flits,
-                  std::uint32_t slot);
+    /** Route pool_[slot] one hop onward from router @p at. */
+    void hop(std::uint32_t slot, NodeId at);
+    /** Free pool_[slot] and hand its message to the endpoint handler. */
+    void deliver(std::uint32_t slot);
 
     EventQueue& eq_;
     NocConfig cfg_;
@@ -132,7 +150,8 @@ class Mesh
     std::vector<Router> routers_;
     std::vector<MessageHandler> coreHandlers_;
     std::vector<MessageHandler> bankHandlers_;
-    NocTracker* tracker_ = nullptr;
+    std::vector<Packet> pool_;
+    std::vector<std::uint32_t> free_;
     FaultInjector* faults_ = nullptr;
     CausalTracker* causal_ = nullptr;
 

@@ -7,7 +7,6 @@
 #include "debug/fault_injection.hh"
 #include "debug/forensics.hh"
 #include "debug/invariant_checker.hh"
-#include "debug/noc_tracker.hh"
 #include "debug/watchdog.hh"
 #include "harness/json.hh"
 #include "obs/attribution.hh"
@@ -175,11 +174,7 @@ Chip::buildDebug()
             l1->setFaultInjector(faults_.get());
         for (VipsLlcBank* bank : vipsBanks_)
             bank->setFaultInjector(faults_.get());
-    }
-
-    if (dbg.trackMessagesEffective()) {
-        nocTracker_ = std::make_unique<NocTracker>();
-        mesh_.setDebug(nocTracker_.get(), faults_.get());
+        mesh_.setFaults(faults_.get());
     }
 
     if (dbg.checkInvariants) {
@@ -192,7 +187,7 @@ Chip::buildDebug()
         src.vipsBanks = {vipsBanks_.begin(), vipsBanks_.end()};
         if (cfg_.protocol == ProtocolKind::Vips)
             src.classifier = &classifier_;
-        src.noc = nocTracker_.get();
+        src.noc = &mesh_;
         checker_ = std::make_unique<InvariantChecker>(std::move(src));
     }
 
@@ -352,20 +347,16 @@ Chip::dumpForensics(const std::string& reason)
         w.endArray();
 
         w.key("noc_in_flight");
-        if (nocTracker_ != nullptr) {
-            w.beginArray();
-            nocTracker_->forEachInFlight(
-                [&w](const Message& m, NodeId at, Tick injected) {
-                    w.beginObject();
-                    w.field("message", m.toString());
-                    w.field("at_node", static_cast<unsigned>(at));
-                    w.field("injected_at", injected);
-                    w.endObject();
-                });
-            w.endArray();
-        } else {
-            w.null();
-        }
+        w.beginArray();
+        mesh_.forEachInFlight(
+            [&w](const Message& m, NodeId at, Tick injected) {
+                w.beginObject();
+                w.field("message", m.toString());
+                w.field("at_node", static_cast<unsigned>(at));
+                w.field("injected_at", injected);
+                w.endObject();
+            });
+        w.endArray();
 
         if (checker_ != nullptr) {
             // Best effort: the dump may itself be reporting a violation.

@@ -33,7 +33,6 @@ namespace cbsim {
 class Watchdog;
 class InvariantChecker;
 class FaultInjector;
-class NocTracker;
 class EpochSampler;
 class TraceExporter;
 class CausalTracker;
@@ -109,7 +108,6 @@ class Chip
 
     /** Robustness subsystem; all null when the debug config is off. */
     std::unique_ptr<FaultInjector> faults_;
-    std::unique_ptr<NocTracker> nocTracker_;
     std::unique_ptr<InvariantChecker> checker_;
     std::unique_ptr<Watchdog> watchdog_;
 

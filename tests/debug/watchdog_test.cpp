@@ -135,6 +135,44 @@ TEST(Watchdog, TickBudgetExhaustionIsFatalAndDumpsForensics)
     std::remove(path.c_str());
 }
 
+TEST(Watchdog, ForensicsListInFlightPacketsWithoutInvariantChecking)
+{
+    // The mesh's packet pool is the record of what is in flight on every
+    // chip, so the dump lists it even with checking (and faults) off.
+    const std::string dir = ::testing::TempDir();
+    ChipConfig cfg = testConfig(Technique::CbAll, 4);
+    // kFlag's home is bank 0, two hops (12+ ticks) from core 3: the
+    // budget runs out while core 3's request is still in the mesh.
+    cfg.maxTicks = 10;
+    cfg.debug.checkInvariants = false;
+    cfg.debug.forensicDir = dir;
+    cfg.debug.label = "in-flight-test";
+    Chip chip(cfg);
+    idleAll(chip);
+    Assembler a;
+    a.movImm(1, kFlag);
+    a.ldThrough(2, 1);
+    chip.setProgram(3, a.assemble());
+    EXPECT_THROW(chip.run(), FatalError);
+
+    const std::string path = dir + "/in-flight-test.forensic.json";
+    std::string error;
+    const JsonValue dump = JsonValue::parseFile(path, error);
+    ASSERT_EQ(error, "");
+    const JsonValue& inFlight = dump.get("noc_in_flight");
+    ASSERT_TRUE(inFlight.isArray());
+    ASSERT_EQ(inFlight.items().size(), 1u);
+    const JsonValue& packet = inFlight.items().front();
+    EXPECT_NE(packet.getString("message").find("src=3 dst=0:bank"),
+              std::string::npos)
+        << packet.getString("message");
+    // X first: 3 -> 2 -> 0; injected by the L1 at tick 1.
+    EXPECT_EQ(packet.getNumber("at_node"), 2.0);
+    EXPECT_EQ(packet.getNumber("injected_at"), 1.0);
+    EXPECT_TRUE(dump.get("invariant_violations").isNull());
+    std::remove(path.c_str());
+}
+
 TEST(Watchdog, DeadlockedCallbackDumpNamesBlockedCoreAndEntry)
 {
     const std::string dir = ::testing::TempDir();

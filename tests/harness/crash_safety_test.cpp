@@ -527,6 +527,14 @@ TEST(Chaos, FaultPlanParserAcceptsSitesAndRejectsGarbage)
     EXPECT_FALSE(error.empty());
     HarnessFaultPlan::parse("kill-child@0", error); // 1-based
     EXPECT_FALSE(error.empty());
+    // Counts above UINT_MAX are rejected, not wrapped to 0 or 1.
+    HarnessFaultPlan::parse("kill-child@4294967296", error);
+    EXPECT_FALSE(error.empty());
+    HarnessFaultPlan::parse("kill-child@4294967297", error);
+    EXPECT_FALSE(error.empty());
+    plan = HarnessFaultPlan::parse("kill-child@4294967295", error);
+    EXPECT_TRUE(error.empty()) << error;
+    EXPECT_EQ(plan.killChildAt, 4294967295u);
     HarnessFaultPlan::parse("made-up-site@1", error);
     EXPECT_FALSE(error.empty());
 }

@@ -1,12 +1,13 @@
 /**
  * @file
  * Mesh tests: X-Y routing distances, latency model, point-to-point
- * ordering (a protocol correctness prerequisite), contention, and
- * flit-hop accounting.
+ * ordering (a protocol correctness prerequisite), contention,
+ * flit-hop accounting, and the in-flight packet pool.
  */
 
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "noc/mesh.hh"
@@ -165,6 +166,59 @@ TEST_F(MeshFixture, SmallMeshWorks)
     mesh->send(msg(0, 3));
     eq.run();
     EXPECT_EQ(arrival, 2u * 6u);
+}
+
+TEST_F(MeshFixture, InFlightPacketIsListedAtItsCurrentRouter)
+{
+    build();
+    mesh->attach(63, Port::Bank, [](const Message&) {});
+    Message m = msg(0, 63);
+    m.txn = 42;
+    mesh->send(m);
+    // X first: the packet reaches routers 1, 2, 3 at ticks 6, 12, 18.
+    std::size_t inFlight = 0;
+    std::vector<std::tuple<std::uint64_t, NodeId, Tick>> listed;
+    eq.schedule(15, [&] {
+        inFlight = mesh->inFlight();
+        mesh->forEachInFlight(
+            [&](const Message& p, NodeId at, Tick injected) {
+                listed.emplace_back(p.txn, at, injected);
+            });
+    });
+    eq.run();
+    EXPECT_EQ(inFlight, 1u);
+    ASSERT_EQ(listed.size(), 1u);
+    EXPECT_EQ(listed[0], std::make_tuple(std::uint64_t{42}, NodeId{2},
+                                         Tick{0}));
+    EXPECT_EQ(mesh->inFlight(), 0u);
+}
+
+TEST_F(MeshFixture, HandlerMaySendWhileThePoolGrows)
+{
+    // The first delivery's handler sends 1,000 packets, growing the
+    // pool under its own feet; the message it was handed must stay
+    // intact (the ASan tier runs this) and every packet must arrive.
+    build();
+    constexpr unsigned kBurst = 1000;
+    unsigned arrived = 0;
+    std::uint64_t seenAfterBurst = 0;
+    mesh->attach(9, Port::Core, [&](const Message&) { ++arrived; });
+    mesh->attach(5, Port::Bank, [&](const Message& trigger) {
+        for (unsigned i = 0; i < kBurst; ++i) {
+            Message m = msg(5, 9);
+            m.dstPort = Port::Core;
+            m.txn = i;
+            mesh->send(m);
+        }
+        seenAfterBurst = trigger.txn;
+    });
+    Message trigger = msg(0, 5);
+    trigger.txn = 7;
+    mesh->send(trigger);
+    eq.run();
+    EXPECT_EQ(seenAfterBurst, 7u);
+    EXPECT_EQ(arrived, kBurst);
+    EXPECT_EQ(mesh->inFlight(), 0u);
 }
 
 TEST_F(MeshFixture, ZeroDimensionIsFatal)

@@ -101,8 +101,8 @@ TEST(GoldenTrace, ByteIdenticalAcrossWorkerCounts)
 
 TEST(GoldenTrace, ByteIdenticalUnderInvariantChecking)
 {
-    // The checker observes the same simulation (sendDebug vs send must
-    // sample identically); traces must not depend on it.
+    // The checker only observes (the mesh's packet pool and the
+    // protocol state); traces must not depend on it.
     const auto checked = runTracedSweep(2, true);
     const auto unchecked = runTracedSweep(2, false);
     ASSERT_EQ(checked.size(), unchecked.size());

@@ -131,8 +131,8 @@ TEST(FaultSoak, FaultedRunsAreByteIdenticalPerSeed)
 
 TEST(FaultSoak, FaultFreeBaselineIsUnchangedByDebugScaffolding)
 {
-    // Invariant checking and message tracking observe; they must not
-    // perturb simulated results (zero-cost-when-off contract).
+    // Invariant checking only observes; it must not perturb simulated
+    // results (zero-cost-when-off contract).
     const auto run = [](bool checked) {
         DebugConfig d = DebugConfig::current();
         d.checkInvariants = checked;
