@@ -10,13 +10,14 @@ the cbsim-host-perf schema), e.g.:
     ./build/bench/bench_perf_kernel --out /tmp/after.json
     scripts/perf_compare.py /tmp/before.json /tmp/after.json
 
-Exit status: 0 normally; with --min-speedup X, exits 1 when the total
-events/sec ratio (after/before) is below X, so CI can enforce a floor.
+Exit status: 0 when both artifacts ran the same cells with the same
+per-cell event counts (and, with --min-speedup X, the total events/sec
+ratio after/before is at least X); 1 otherwise.
 
 Simulated-event counts are deterministic: if a cell's event count
-changed between the two artifacts, the simulator's behaviour changed,
-not just its speed — flagged loudly since it invalidates the
-comparison (and usually the determinism contract).
+changed between the two artifacts, or a cell exists on one side only,
+the two runs simulated different things and the speed ratio compares
+nothing. Both fail the comparison, whatever the speedup.
 """
 
 import argparse
@@ -82,11 +83,11 @@ def main():
     only_b = sorted(set(b_cells) - set(a_cells))
     only_a = sorted(set(a_cells) - set(b_cells))
     for k in only_b:
-        print(f"warning: cell only in before: {k}", file=sys.stderr)
+        print(f"CELL MISMATCH: only in before: {k}", file=sys.stderr)
     for k in only_a:
-        print(f"warning: cell only in after:  {k}", file=sys.stderr)
+        print(f"CELL MISMATCH: only in after:  {k}", file=sys.stderr)
 
-    drift = False
+    drift = bool(only_b or only_a)
     rows = []
     for key in common:
         b, a = b_cells[key], a_cells[key]
@@ -135,14 +136,17 @@ def main():
                   "counts are not the single queue's",
                   file=sys.stderr)
 
+    status = 0
     if drift:
-        print("note: event counts drifted; speedup numbers compare "
-              "different simulations", file=sys.stderr)
+        print("FAIL: the artifacts simulated different cells or event "
+              "counts; speedup numbers compare different simulations",
+              file=sys.stderr)
+        status = 1
     if args.min_speedup is not None and total_ratio < args.min_speedup:
         print(f"FAIL: total speedup {total_ratio:.2f}x < floor "
               f"{args.min_speedup:.2f}x", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -1,6 +1,5 @@
 #include "noc/mesh.hh"
 
-#include <bit>
 #include <string>
 
 #include "debug/fault_injection.hh"
@@ -9,15 +8,42 @@
 
 namespace cbsim {
 
-Mesh::Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope)
-    : eq_(eq), cfg_(cfg),
-      widthPow2_(std::has_single_bit(cfg.width)),
-      widthShift_(static_cast<unsigned>(std::countr_zero(cfg.width))),
-      routers_(cfg.nodes()), coreHandlers_(cfg.nodes()),
-      bankHandlers_(cfg.nodes())
+const NocConfig&
+Mesh::checked(const NocConfig& cfg)
 {
-    if (cfg_.width == 0 || cfg_.height == 0)
+    if (cfg.width == 0 || cfg.height == 0)
         fatal("mesh dimensions must be non-zero");
+    if (cfg.width > maxNodes || cfg.height > maxNodes ||
+        cfg.width * cfg.height > maxNodes) {
+        fatal("mesh of ", cfg.width, "x", cfg.height,
+              " exceeds the ", maxNodes, "-node limit");
+    }
+    return cfg;
+}
+
+Mesh::Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope)
+    : eq_(eq), cfg_(checked(cfg)), nodes_(cfg_.nodes()),
+      route_(std::size_t{nodes_} * nodes_), routers_(nodes_),
+      coreHandlers_(nodes_), bankHandlers_(nodes_)
+{
+    for (NodeId at = 0; at < nodes_; ++at) {
+        for (NodeId dst = 0; dst < nodes_; ++dst) {
+            const int dx = static_cast<int>(xOf(dst)) -
+                           static_cast<int>(xOf(at));
+            const int dy = static_cast<int>(yOf(dst)) -
+                           static_cast<int>(yOf(at));
+            Route& r = route_[at * nodes_ + dst];
+            r.hops = static_cast<std::uint8_t>((dx < 0 ? -dx : dx) +
+                                               (dy < 0 ? -dy : dy));
+            if (at == dst) {
+                r.next = static_cast<std::uint8_t>(at);
+                continue;
+            }
+            const auto [next, dir] = nextHop(at, dst);
+            r.next = static_cast<std::uint8_t>(next);
+            r.dir = dir;
+        }
+    }
     scope.add("packets", packets_);
     scope.add("flit_hops", flitHops_);
     scope.add("local_deliveries", localDeliveries_);
@@ -39,10 +65,7 @@ Mesh::attach(NodeId node, Port port, MessageHandler handler)
 unsigned
 Mesh::hopCount(NodeId from, NodeId to) const
 {
-    const int dx = static_cast<int>(xOf(to)) - static_cast<int>(xOf(from));
-    const int dy = static_cast<int>(yOf(to)) - static_cast<int>(yOf(from));
-    return static_cast<unsigned>((dx < 0 ? -dx : dx) +
-                                 (dy < 0 ? -dy : dy));
+    return route(from, to).hops;
 }
 
 Tick
@@ -118,8 +141,9 @@ Mesh::hop(std::uint32_t slot, NodeId at)
 {
     Packet& p = pool_[slot];
     p.at = at;
-    auto [next, dir] = nextHop(at, p.msg.dst);
-    const Tick start = routers_[at].reserve(dir, eq_.now(), p.flits);
+    const Route r = route(at, p.msg.dst);
+    const NodeId next = r.next;
+    const Tick start = routers_[at].reserve(r.dir, eq_.now(), p.flits);
     flitHops_.inc(p.flits);
     const Tick wait = start - eq_.now();
 

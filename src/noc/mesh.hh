@@ -7,6 +7,12 @@
  * Message::dstPort. Traffic is accounted in flit-hops (the metric behind
  * the paper's "network traffic" figures) and per-message-type packets.
  *
+ * Routes are precomputed: route_[at * nodes + dst] holds the next node,
+ * the output direction and the remaining X-Y hop count, so a hop is a
+ * table read rather than a coordinate decomposition. Meshes are capped
+ * at 256 nodes (chips have at most 64 cores), which keeps each field
+ * in a byte and the table at 16 KB for the 8x8 default.
+ *
  * Every injected packet lives in a recycled slot of the mesh's packet
  * pool until it is delivered; hop and delivery events carry only the
  * slot index. The pool is also the record the watchdog's forensic dump
@@ -105,27 +111,36 @@ class Mesh
     void setCausal(CausalTracker* causal) { causal_ = causal; }
 
   private:
-    // X-Y decomposition runs twice per routed hop (millions of times
-    // per run), and a division by the runtime mesh width costs tens of
-    // cycles; mask/shift when the width is a power of two (all
-    // power-of-four core counts — 9/25/49-core meshes keep the
-    // div/mod).
-    unsigned
-    xOf(NodeId n) const
+    /** Largest mesh the route table's one-byte fields can describe. */
+    static constexpr unsigned maxNodes = 256;
+
+    /** Route-table entry for (at, dst): the first hop of the X-Y route
+     *  from at to dst, and the route's length. */
+    struct alignas(4) Route
     {
-        return widthPow2_ ? (n & (cfg_.width - 1)) : (n % cfg_.width);
-    }
-    unsigned
-    yOf(NodeId n) const
+        std::uint8_t next = 0;  ///< node the next hop reaches
+        Direction dir = Direction::Local; ///< output port taken
+        std::uint8_t hops = 0;  ///< hops left to the destination
+    };
+
+    /** @p cfg, or fatal if it has no nodes or more than maxNodes. */
+    static const NocConfig& checked(const NocConfig& cfg);
+
+    const Route&
+    route(NodeId at, NodeId dst) const
     {
-        return widthPow2_ ? (n >> widthShift_) : (n / cfg_.width);
+        return route_[at * nodes_ + dst];
     }
+
+    unsigned xOf(NodeId n) const { return n % cfg_.width; }
+    unsigned yOf(NodeId n) const { return n / cfg_.width; }
     NodeId nodeAt(unsigned x, unsigned y) const
     {
         return y * cfg_.width + x;
     }
 
-    /** Next hop (node, output direction) along the X-Y route. */
+    /** Next hop (node, output direction) along the X-Y route; builds
+     *  route_. */
     std::pair<NodeId, Direction> nextHop(NodeId at, NodeId dst) const;
 
     /** One injected packet; slots are recycled through free_. */
@@ -145,8 +160,8 @@ class Mesh
 
     EventQueue& eq_;
     NocConfig cfg_;
-    bool widthPow2_;      ///< mesh width is a power of two
-    unsigned widthShift_; ///< log2(width), widthPow2_ only
+    unsigned nodes_;
+    std::vector<Route> route_;
     std::vector<Router> routers_;
     std::vector<MessageHandler> coreHandlers_;
     std::vector<MessageHandler> bankHandlers_;

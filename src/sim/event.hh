@@ -14,6 +14,10 @@
  *
  * Events are movable (buckets in the timing wheel relocate them on
  * vector growth), single-shot, and destroyed by the queue after firing.
+ * A trivially destructible callable (a hop's {this, slot, next}, a
+ * ClockedTick, a [this, msg] replay — nearly every hot-path event) has
+ * a null destroy entry, so clearing a dispatched bucket makes no
+ * indirect call for it.
  *
  * The Clocked interface is the companion fast path: objects that run on
  * a per-tick cadence (in-order cores) register themselves once as
@@ -133,6 +137,7 @@ class Event
         void (*invoke)(void* p);
         /** Move-construct *src into dst, then destroy *src. */
         void (*relocate)(void* dst, void* src) noexcept;
+        /** Destroy *p; null when Fn is trivially destructible. */
         void (*destroy)(void* p) noexcept;
     };
 
@@ -143,14 +148,17 @@ class Event
             ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
             static_cast<Fn*>(src)->~Fn();
         },
-        [](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
+        std::is_trivially_destructible_v<Fn>
+            ? nullptr
+            : +[](void* p) noexcept { static_cast<Fn*>(p)->~Fn(); },
     };
 
     void
     reset() noexcept
     {
         if (ops_) {
-            ops_->destroy(payload_);
+            if (ops_->destroy)
+                ops_->destroy(payload_);
             ops_ = nullptr;
         }
     }

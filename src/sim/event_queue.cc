@@ -1,5 +1,7 @@
 #include "sim/event_queue.hh"
 
+#include <iterator>
+
 namespace cbsim {
 
 void
@@ -21,12 +23,7 @@ EventQueue::pushFar(Tick when, Event ev)
 void
 EventQueue::migrateFar()
 {
-    // All pending events are in the far-heap (the wheel just drained),
-    // so popping the heap in (when, seq) order and appending to buckets
-    // reproduces the exact global dispatch order inside the new window.
-    wheelBase_ = far_.front().when;
-    now_ = wheelBase_;
-    while (!far_.empty() && far_.front().when - wheelBase_ < wheelSize) {
+    while (!far_.empty() && far_.front().when - now_ < wheelSize) {
         std::pop_heap(far_.begin(), far_.end(), FarLater{});
         const FarKey key = far_.back();
         far_.pop_back();
@@ -75,8 +72,26 @@ EventQueue::dispatchBucket()
     const std::size_t count = scratch_.size();
     wheelCount_ -= count;
     executed_ += count;
-    for (Event& ev : scratch_)
-        ev();
+    Event* ev = scratch_.data();
+    Event* const end = ev + count;
+    try {
+        for (; ev != end; ++ev)
+            (*ev)();
+    } catch (...) {
+        // The event at ev threw and counts as run; the ones after it
+        // go back to the head of the bucket, ahead of any same-tick
+        // events it appended, so a later run() resumes in order and
+        // the counts a forensic dump reads stay true.
+        const std::size_t unrun = static_cast<std::size_t>(end - ev) - 1;
+        executed_ -= unrun;
+        wheelCount_ += unrun;
+        b.insert(b.begin(), std::make_move_iterator(ev + 1),
+                 std::make_move_iterator(end));
+        if (!b.empty())
+            setOccupied(idx);
+        scratch_.clear();
+        throw;
+    }
     scratch_.clear();
     if (b.empty()) {
         // No re-entrant appends: hand the (larger) capacity back
@@ -125,7 +140,7 @@ EventQueue::debugSnapshot(std::size_t maxHeadTicks) const
             if (count == 0)
                 continue;
             // Recover the bucket's absolute tick: it is the unique tick
-            // in [now_, wheelBase_ + wheelSize) congruent to b.
+            // in [now_, now_ + wheelSize) congruent to b.
             Tick when = (now_ & ~(wheelSize - 1)) | b;
             if (when < now_)
                 when += wheelSize;

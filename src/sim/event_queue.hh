@@ -8,21 +8,28 @@
  * reproducible for a given seed.
  *
  * Internally the queue is two-level. The near future — a window of
- * wheelSize ticks starting at wheelBase_ — lives in a timing wheel: one
+ * wheelSize ticks starting at now_ — lives in a timing wheel: one
  * bucket per tick, each bucket a plain vector dispatched by index, so
  * same-tick FIFO order is structural rather than enforced by a sequence
  * comparator. A two-level occupancy bitmap (a summary word over
  * per-64-bucket words) makes finding the next pending tick a pair of
  * count-trailing-zeros operations, so advancing over sparse stretches
  * (back-off spins, barrier waits) costs the same as advancing one tick.
- * Events beyond the window (spin-park watchdogs, mostly) overflow to a
- * (when, seq)-ordered binary far-heap. The window stays fixed until the
- * wheel drains completely; only then does the queue rebase onto the
- * far-heap's minimum and migrate every far event that now fits, popping
- * them in (when, seq) order so the global FIFO contract survives the
- * hand-off. Because migration happens only at points where *all*
- * pending events sit in the far-heap, no wheel-vs-heap interleaving
- * case exists.
+ * Events wheelSize or more ticks ahead (spin-park watchdogs, deep
+ * back-off) overflow to a (when, seq)-ordered binary far-heap.
+ *
+ * The window slides with now_. Each advance() first moves now_ to the
+ * next pending tick (the next occupied bucket, or the far-heap minimum
+ * when the wheel is empty), then migrates every far event that now
+ * falls inside the window, popping them in (when, seq) order, before
+ * that tick's bucket runs. This keeps the global FIFO contract: a far
+ * event for tick T was scheduled at or before T - wheelSize, a wheel
+ * event for T at T - wheelSize + 1 or later, and migration happens at
+ * the first advance to now_ >= T - wheelSize + 1 — before any such
+ * wheel event can exist. So the far event enters T's bucket ahead of
+ * every later-scheduled wheel event. After a migration every far event
+ * is at least now_ + wheelSize, so the wheel's next occupied bucket is
+ * always earlier than the far-heap minimum.
  *
  * Buckets retain their vector capacity across reuse, so steady-state
  * operation performs no allocation at all: schedule is an inline
@@ -162,7 +169,7 @@ class EventQueue
     {
         CBSIM_ASSERT(when >= now_, "scheduling into the past (when=", when,
                      " now=", now_, ")");
-        if (when - wheelBase_ < wheelSize) {
+        if (when - now_ < wheelSize) {
             const std::size_t idx = when & (wheelSize - 1);
             Bucket& b = buckets_[idx];
             if (b.empty())
@@ -260,9 +267,9 @@ class EventQueue
     /**
      * Index of the occupied bucket nearest to @p from in circular
      * order (possibly @p from itself). @pre wheelCount_ > 0. Every
-     * pending wheel event's tick is in [now_, wheelBase_ + wheelSize),
-     * and that half-open range covers each bucket index exactly once,
-     * so circular distance from now_'s bucket equals tick order.
+     * pending wheel event's tick is in [now_, now_ + wheelSize), and
+     * that half-open range covers each bucket index exactly once, so
+     * circular distance from now_'s bucket equals tick order.
      */
     std::size_t
     nextOccupied(std::size_t from) const
@@ -292,25 +299,30 @@ class EventQueue
 
     /**
      * Advance now_ to the next pending event's tick (leaving the event
-     * at its bucket head). Returns false when the queue is empty.
+     * at its bucket head) and slide the window's far events into the
+     * wheel. Returns false when the queue is empty.
      */
     bool
     advance()
     {
-        if (wheelCount_ == 0) {
-            if (far_.empty())
-                return false;
-            migrateFar();
+        if (wheelCount_ != 0) {
+            const std::size_t c = now_ & (wheelSize - 1);
+            now_ += (nextOccupied(c) - c) & (wheelSize - 1);
+        } else if (!far_.empty()) {
+            now_ = far_.front().when;
+        } else {
+            return false;
         }
-        const std::size_t c = now_ & (wheelSize - 1);
-        now_ += (nextOccupied(c) - c) & (wheelSize - 1);
+        if (!far_.empty() && far_.front().when - now_ < wheelSize)
+            migrateFar();
         return true;
     }
 
     /**
-     * The wheel is empty and the far-heap is not: jump the window to
-     * the far-heap's minimum and migrate everything that fits, in
-     * (when, seq) order so per-bucket FIFO equals global FIFO.
+     * Move every far event inside [now_, now_ + wheelSize) into its
+     * bucket, in (when, seq) order so per-bucket FIFO equals global
+     * FIFO (see the file comment for why no later-scheduled wheel
+     * event can already be there).
      */
     void migrateFar();
 
@@ -332,8 +344,9 @@ class EventQueue
      * converges on the busiest tick's population and stays there.
      */
     std::vector<Event> scratch_;
-    Tick wheelBase_ = 0;  ///< first tick of the wheel window
-    Tick now_ = 0;        ///< invariant: wheelBase_ <= now_ <= base+size
+    /** Current tick and first tick of the wheel window: every wheel
+     *  event is in [now_, now_ + wheelSize), every far event beyond. */
+    Tick now_ = 0;
     std::size_t wheelCount_ = 0; ///< pending events in the wheel
     std::uint64_t nextSeq_ = 0;  ///< far events only; monotonic
     std::uint64_t executed_ = 0;

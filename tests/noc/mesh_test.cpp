@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "noc/mesh.hh"
@@ -226,6 +229,55 @@ TEST_F(MeshFixture, ZeroDimensionIsFatal)
     NocConfig bad;
     bad.width = 0;
     EXPECT_THROW(Mesh(eq, bad, stats.scope("noc2")), FatalError);
+}
+
+TEST_F(MeshFixture, OverLargeMeshIsFatal)
+{
+    NocConfig bad;
+    bad.width = 17; // 272 nodes: past the route table's 256
+    bad.height = 16;
+    EXPECT_THROW(Mesh(eq, bad, stats.scope("noc2")), FatalError);
+}
+
+/**
+ * The route table against the X-Y model on square, odd and degenerate
+ * meshes: for every (src, dst) pair the hop count is the Manhattan
+ * distance and a lone packet arrives at exactly minLatency.
+ */
+TEST_F(MeshFixture, RouteTableMatchesManhattanOnEveryPair)
+{
+    for (auto [w, h] : {std::pair{8u, 8u}, std::pair{3u, 3u},
+                        std::pair{5u, 3u}, std::pair{1u, 7u}}) {
+        cfg.width = w;
+        cfg.height = h;
+        mesh = std::make_unique<Mesh>(
+            eq, cfg,
+            stats.scope("noc" + std::to_string(w) + "x" +
+                        std::to_string(h)));
+        Tick arrival = 0;
+        for (NodeId n = 0; n < w * h; ++n) {
+            mesh->attach(n, Port::Bank,
+                         [&](const Message&) { arrival = eq.now(); });
+        }
+        for (NodeId src = 0; src < w * h; ++src) {
+            for (NodeId dst = 0; dst < w * h; ++dst) {
+                const int dx = static_cast<int>(dst % w) -
+                               static_cast<int>(src % w);
+                const int dy = static_cast<int>(dst / w) -
+                               static_cast<int>(src / w);
+                EXPECT_EQ(mesh->hopCount(src, dst),
+                          static_cast<unsigned>(std::abs(dx) +
+                                                std::abs(dy)))
+                    << w << "x" << h << " " << src << "->" << dst;
+                const Message m = msg(src, dst, MsgType::Data);
+                const Tick sent = eq.now();
+                mesh->send(m);
+                eq.run();
+                EXPECT_EQ(arrival - sent, mesh->minLatency(m))
+                    << w << "x" << h << " " << src << "->" << dst;
+            }
+        }
+    }
 }
 
 } // namespace

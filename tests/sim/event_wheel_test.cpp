@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "mem/mshr.hh"
 #include "sim/event_queue.hh"
 
 namespace cbsim {
@@ -150,8 +151,9 @@ TEST(EventWheel, FarHeapPreservesFifoAmongSameTickEvents)
 }
 
 /** Wheel events scheduled after an earlier far event must not overtake
- *  it (the fixed-window rule: the window does not slide under a live
- *  wheel, so the later-scheduled event also lands in the far-heap). */
+ *  it. The window slides with now_, and a far event migrates into its
+ *  bucket at the first advance that brings it inside the window — here
+ *  the advance to tick 100, before B is scheduled — so A is ahead. */
 TEST(EventWheel, LaterScheduledWheelEventCannotOvertakeFarEvent)
 {
     EventQueue eq;
@@ -165,6 +167,117 @@ TEST(EventWheel, LaterScheduledWheelEventCannotOvertakeFarEvent)
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+/**
+ * The sliding window's hand-off cases: from every now_ & (wheelSize-1)
+ * phase, events land just inside the window (wheelSize-1), on its edge
+ * (wheelSize, the first far delay) and just past it (wheelSize+1), so
+ * far events migrating into a bucket meet wheel events that later
+ * phases schedule for the same tick. Order must match the reference.
+ */
+TEST(EventWheel, WindowEdgeDelaysFromEveryPhaseMatchReference)
+{
+    constexpr Tick W = EventQueue::wheelSize;
+    EventQueue eq;
+    RefSchedule ref;
+    std::vector<std::pair<Tick, std::uint64_t>> fired;
+    std::uint64_t seq = 0;
+
+    auto scheduleLeaf = [&](Tick delay) {
+        const Tick when = eq.now() + delay;
+        const std::uint64_t id = seq++;
+        ref.emplace_back(when, id);
+        eq.schedule(delay, [&fired, &eq, when, id] {
+            EXPECT_EQ(eq.now(), when);
+            fired.emplace_back(when, id);
+        });
+    };
+    // Two revolutions of phases, starting off a window boundary, so
+    // drivers themselves cover near, edge and far placements.
+    for (Tick t = 3; t < 3 + 2 * W; ++t) {
+        const std::uint64_t id = seq++;
+        ref.emplace_back(t, id);
+        eq.scheduleAt(t, [&, t, id] {
+            fired.emplace_back(t, id);
+            for (Tick d : {W - 1, W, W + 1, Tick{0}, Tick{6}})
+                scheduleLeaf(d);
+        });
+    }
+    eq.run();
+    EXPECT_EQ(fired.size(), ref.size());
+    EXPECT_EQ(fired, sortedReference(ref));
+}
+
+/** A delay under wheelSize stays in the wheel wherever now_ sits in the
+ *  window; only wheelSize or more ticks ahead goes to the far-heap. */
+TEST(EventWheel, NearEventStaysInTheWheelLateInTheWindow)
+{
+    EventQueue eq;
+    EventQueue::DebugSnapshot inWheel, onEdge;
+    eq.schedule(200, [&] {
+        eq.schedule(EventQueue::wheelSize - 1, [] {});
+        inWheel = eq.debugSnapshot();
+        eq.schedule(EventQueue::wheelSize, [] {});
+        onEdge = eq.debugSnapshot();
+    });
+    eq.run();
+    EXPECT_EQ(inWheel.farPending, 0u);
+    ASSERT_EQ(inWheel.headWindow.size(), 1u);
+    EXPECT_EQ(inWheel.headWindow[0],
+              std::make_pair(Tick{200 + EventQueue::wheelSize - 1},
+                             std::size_t{1}));
+    EXPECT_EQ(onEdge.farPending, 1u);
+    EXPECT_EQ(onEdge.farMin, 200 + EventQueue::wheelSize);
+    EXPECT_EQ(eq.executedEvents(), 3u);
+}
+
+/**
+ * An event that throws mid-bucket counts as run; the events after it
+ * stay pending at the head of their bucket, and the next run() fires
+ * them in order.
+ */
+TEST(EventWheel, ThrowMidBucketKeepsCountsAndResumes)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&order] { order.push_back(1); });
+    eq.schedule(5, [&order] {
+        order.push_back(2);
+        panic("event 2 fails");
+    });
+    eq.schedule(5, [&order] { order.push_back(3); });
+    eq.schedule(5, [&order] { order.push_back(4); });
+    EXPECT_THROW(eq.run(), PanicError);
+    EXPECT_EQ(eq.executedEvents(), 2u);
+    EXPECT_EQ(eq.pendingEvents(), 2u);
+    const EventQueue::DebugSnapshot snap = eq.debugSnapshot();
+    EXPECT_EQ(snap.pending, 2u);
+    ASSERT_EQ(snap.headWindow.size(), 1u);
+    EXPECT_EQ(snap.headWindow[0], std::make_pair(Tick{5}, std::size_t{2}));
+
+    EXPECT_EQ(eq.run(), 5u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(eq.executedEvents(), 4u);
+    EXPECT_EQ(eq.pendingEvents(), 0u);
+}
+
+/** Same-tick events the throwing event scheduled stay behind the ones
+ *  it interrupted, as they would have without the throw. */
+TEST(EventWheel, ThrowMidBucketKeepsSameTickAppendsLast)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    eq.schedule(5, [&] {
+        eq.schedule(0, [&order] { order.push_back(3); });
+        panic("event 1 fails");
+    });
+    eq.schedule(5, [&order] { order.push_back(2); });
+    EXPECT_THROW(eq.run(), PanicError);
+    EXPECT_EQ(eq.pendingEvents(), 2u);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 3}));
+    EXPECT_EQ(eq.executedEvents(), 3u);
 }
 
 /** Clocked wake-ups interleave with ordinary events in FIFO order. */
@@ -233,14 +346,72 @@ TEST(EventWheel, EventMoveSemantics)
 TEST(EventWheel, PendingEventsAreDestroyedWithTheQueue)
 {
     auto token = std::make_shared<int>(42);
-    std::weak_ptr<int> watch = token;
     {
         EventQueue eq;
-        eq.schedule(10, [t = std::move(token)] { (void)*t; });
-        eq.schedule(100'000, [] {}); // one in the far-heap too
-        EXPECT_FALSE(watch.expired());
+        eq.schedule(10, [token] { (void)*token; });
+        eq.schedule(100'000, [token] { (void)*token; }); // far-heap
+        EXPECT_EQ(token.use_count(), 3);
     }
-    EXPECT_TRUE(watch.expired());
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+/*
+ * A capturing (non-trivially destructible) event is destroyed exactly
+ * once on every path it can take through the kernel: use_count returns
+ * to 1, never below (a double destroy would also trip ASan).
+ */
+
+TEST(EventWheel, FiredEventIsDestroyedOnce)
+{
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    eq.schedule(3, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+    eq.run();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventWheel, MigratedFarEventIsDestroyedOnce)
+{
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    eq.schedule(100'000, [token] { ++*token; });
+    EXPECT_EQ(eq.debugSnapshot().farPending, 1u);
+    EXPECT_EQ(token.use_count(), 2);
+    eq.run();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventWheel, EventsRelocatedByBucketGrowthAreDestroyedOnce)
+{
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    for (int i = 0; i < 100; ++i) // one bucket, many reallocations
+        eq.schedule(7, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 101);
+    eq.run();
+    EXPECT_EQ(*token, 100);
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventWheel, DeferredAndReplayedEventIsDestroyedOnce)
+{
+    auto token = std::make_shared<int>(0);
+    EventQueue eq;
+    LineLockTable locks;
+    constexpr Addr line = 0x1000;
+    locks.lock(line);
+    locks.defer(line, [token] { ++*token; });
+    EXPECT_EQ(token.use_count(), 2);
+    // Replay the way the LLC banks do: re-schedule each deferred op.
+    for (DeferredOp& op : locks.unlock(line))
+        eq.schedule(0, std::move(op));
+    EXPECT_EQ(token.use_count(), 2);
+    eq.run();
+    EXPECT_EQ(*token, 1);
+    EXPECT_EQ(token.use_count(), 1);
 }
 
 } // namespace
