@@ -12,6 +12,7 @@
 #include "cli.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -19,6 +20,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <string_view>
 
 #include "debug/debug_config.hh"
 #include "harness/journal.hh"
@@ -188,8 +190,32 @@ benchMain(int argc, char** argv)
     std::vector<std::string> only;
     std::vector<std::string> only_keys;
 
+    // Flags that take a value, as "--flag VALUE" or "--flag=VALUE".
+    constexpr std::array<std::string_view, 8> valued = {
+        "--jobs",    "--out-dir",        "--max-failures", "--job-timeout-s",
+        "--retries", "--quarantine-dir", "--only-key",     "--only"};
+
     for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
+        const std::string arg = argv[i];
+        const std::size_t eq = arg.find('=');
+        const std::string a = arg.substr(0, eq);
+        const bool takes_value =
+            std::find(valued.begin(), valued.end(), a) != valued.end();
+        std::string v;
+        if (eq != std::string::npos && takes_value) {
+            v = arg.substr(eq + 1);
+        } else if (eq != std::string::npos) {
+            std::cerr << "unknown option: " << arg << "\n";
+            usage(argv[0]);
+            return 2;
+        } else if (takes_value) {
+            if (i + 1 == argc) {
+                std::cerr << a << ": missing value\n";
+                return 2;
+            }
+            v = argv[++i];
+        }
+
         if (a == "--quick") {
             mode().cores = 16;
             mode().scale = 0.25;
@@ -199,36 +225,19 @@ benchMain(int argc, char** argv)
             mode().cores = 4;
             mode().scale = 0.1;
             mode().microIters = 2;
-        } else if (a == "--jobs" && i + 1 < argc) {
-            if (!parseUnsignedFlag("--jobs", argv[++i], mode().jobs))
+        } else if (a == "--jobs") {
+            if (!parseUnsignedFlag(a, v, mode().jobs))
                 return 2;
-        } else if (a.rfind("--jobs=", 0) == 0) {
-            if (!parseUnsignedFlag("--jobs", a.substr(7), mode().jobs))
-                return 2;
-        } else if (a == "--out-dir" && i + 1 < argc) {
-            mode().outDir = argv[++i];
-        } else if (a.rfind("--out-dir=", 0) == 0) {
-            mode().outDir = a.substr(10);
+        } else if (a == "--out-dir") {
+            mode().outDir = v;
         } else if (a == "--no-json") {
             mode().writeJson = false;
-        } else if (a == "--max-failures" && i + 1 < argc) {
-            if (!parseUnsignedFlag("--max-failures", argv[++i],
-                                   max_failures))
+        } else if (a == "--max-failures") {
+            if (!parseUnsignedFlag(a, v, max_failures))
                 return 2;
-        } else if (a.rfind("--max-failures=", 0) == 0) {
-            if (!parseUnsignedFlag("--max-failures", a.substr(15),
-                                   max_failures))
-                return 2;
-        } else if (a == "--job-timeout-s" && i + 1 < argc) {
-            if (!parseSeconds(argv[++i], job_timeout_s)) {
-                std::cerr << "--job-timeout-s: not a duration: "
-                          << argv[i] << "\n";
-                return 2;
-            }
-        } else if (a.rfind("--job-timeout-s=", 0) == 0) {
-            if (!parseSeconds(a.substr(16), job_timeout_s)) {
-                std::cerr << "--job-timeout-s: not a duration: "
-                          << a.substr(16) << "\n";
+        } else if (a == "--job-timeout-s") {
+            if (!parseSeconds(v, job_timeout_s)) {
+                std::cerr << a << ": not a duration: " << v << "\n";
                 return 2;
             }
         } else if (a == "--check-invariants") {
@@ -239,30 +248,22 @@ benchMain(int argc, char** argv)
             mode().isolate = true;
         } else if (a == "--resume") {
             mode().resume = true;
-        } else if (a == "--retries" && i + 1 < argc) {
-            if (!parseUnsignedFlag("--retries", argv[++i], mode().retries))
+        } else if (a == "--retries") {
+            if (!parseUnsignedFlag(a, v, mode().retries))
                 return 2;
-        } else if (a.rfind("--retries=", 0) == 0) {
-            if (!parseUnsignedFlag("--retries", a.substr(10),
-                                   mode().retries))
-                return 2;
-        } else if (a == "--quarantine-dir" && i + 1 < argc) {
-            mode().quarantineDir = argv[++i];
-        } else if (a.rfind("--quarantine-dir=", 0) == 0) {
-            mode().quarantineDir = a.substr(17);
-        } else if (a == "--only-key" && i + 1 < argc) {
-            only_keys.push_back(argv[++i]);
-        } else if (a.rfind("--only-key=", 0) == 0) {
-            only_keys.push_back(a.substr(11));
-        } else if (a == "--only" && i + 1 < argc) {
-            only.push_back(argv[++i]);
+        } else if (a == "--quarantine-dir") {
+            mode().quarantineDir = v;
+        } else if (a == "--only-key") {
+            only_keys.push_back(v);
+        } else if (a == "--only") {
+            only.push_back(v);
         } else if (a == "--list") {
             list_only = true;
         } else if (a == "--help" || a == "-h") {
             usage(argv[0]);
             return 0;
         } else {
-            std::cerr << "unknown option: " << a << "\n";
+            std::cerr << "unknown option: " << arg << "\n";
             usage(argv[0]);
             return 2;
         }

@@ -9,7 +9,9 @@
 # the flag on stderr — not abort on an uncaught exception (134) and not
 # wrap silently to a small count. The same holds for bench_all's
 # numeric environment: a bad CBSIM_OBS_EPOCH exits 2 naming the
-# variable, before any cell runs.
+# variable, before any cell runs. A bench_all flag that takes a value
+# also takes it as "--flag=VALUE", and given last with no value it
+# exits 2 with "<flag>: missing value".
 #
 # Usage: check_bench_flags.sh <bench_all-binary> <bench_perf_kernel-binary>
 
@@ -82,6 +84,23 @@ for good in '' 0 50000 18446744073709551615; do
         status=1
     fi
 done
+
+# A valued flag given last has no value: exit 2 naming the flag, not
+# "unknown option".
+for flag in --jobs --max-failures --retries --job-timeout-s; do
+    expect_usage_error "$flag" "$bench_all" --list "$flag"
+done
+
+# --only takes the "=" form like every other valued flag.
+if ! "$bench_all" --only=fig20_sync --list > "$log" 2>&1; then
+    echo "check_bench_flags: --only=fig20_sync rejected:" >&2
+    cat "$log" >&2
+    status=1
+elif [ "$(grep -c . "$log")" -ne 1 ] || ! grep -q '^fig20_sync ' "$log"; then
+    echo "check_bench_flags: --only=fig20_sync --list printed:" >&2
+    cat "$log" >&2
+    status=1
+fi
 
 # The largest representable count is still accepted.
 if ! "$bench_all" --list --jobs 4294967295 > /dev/null 2>&1; then

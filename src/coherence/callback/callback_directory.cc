@@ -65,7 +65,6 @@ CallbackDirectory::ensure(Addr word, CbReadResult& res)
                 res.evictedWaiters.push_back(c);
         }
     }
-    allocations_.inc();
     victim->valid = true;
     victim->word = w;
     victim->cb = 0;
@@ -88,20 +87,17 @@ CallbackDirectory::ldCb(Addr addr, CoreId core)
         // One mode: all F/E bits act in unison (all-full or all-empty).
         if (e.fe != 0) {
             e.fe = 0; // this read consumes the single value for everyone
-            immediateReads_.inc();
             return res;
         }
     } else {
         if (e.fe & bit) {
             e.fe &= ~bit; // consume this core's full bit
-            immediateReads_.inc();
             return res;
         }
     }
     // Empty: set the callback and block awaiting the next write.
     e.cb |= bit;
     res.blocked = true;
-    blockedReads_.inc();
     return res;
 }
 
@@ -180,7 +176,6 @@ CallbackDirectory::store(Addr addr, CoreId writer, WakePolicy policy)
         // DRF store: never reaches the callback directory.
         panic("WakePolicy::None presented to callback directory");
     }
-    wakeups_.inc(res.wake.size());
     return res;
 }
 
@@ -252,16 +247,6 @@ CallbackDirectory::validEntries() const
     for (const auto& e : entries_)
         n += e.valid ? 1 : 0;
     return n;
-}
-
-void
-CallbackDirectory::registerStats(const StatsScope& scope)
-{
-    scope.add("allocations", allocations_);
-    scope.add("evictions", evictions_);
-    scope.add("blocked_reads", blockedReads_);
-    scope.add("immediate_reads", immediateReads_);
-    scope.add("wakeups", wakeups_);
 }
 
 } // namespace cbsim

@@ -127,7 +127,8 @@ class CallbackDirectory
      */
     CbReadResult forceEvictOne();
 
-    void registerStats(const StatsScope& scope);
+    /** Entries evicted so far, by capacity or forced. */
+    std::uint64_t evictions() const { return evictions_.value(); }
 
   private:
     struct Entry
@@ -156,11 +157,7 @@ class CallbackDirectory
     unsigned numCores_;
     std::uint64_t stamp_ = 0;
 
-    Counter allocations_;
     Counter evictions_;
-    Counter blockedReads_;
-    Counter immediateReads_;
-    Counter wakeups_;
 };
 
 } // namespace cbsim

@@ -26,7 +26,6 @@ MesiL1::parkSpin(MemRequest req)
     // Liveness net: spin loops in this suite only exit when the watched
     // value changes (which requires an invalidation), but a coarse
     // timeout keeps even pathological programs live at negligible cost.
-    spinParks_.inc();
     if (causal_ != nullptr)
         causal_->recordPark(line_addr, core_, eq_.now());
     eq_.schedule(100'000, [this, gen = watchGeneration_] {
@@ -137,7 +136,6 @@ MesiL1::access(MemRequest req)
                 const Word value = data_.read(req.addr);
                 if (lastSpinValid_ && lastSpinAddr_ == word &&
                     lastSpinValue_ == value) {
-                    hits_.inc();
                     parkSpin(std::move(req));
                     return;
                 }
@@ -147,14 +145,12 @@ MesiL1::access(MemRequest req)
             } else {
                 lastSpinValid_ = false;
             }
-            hits_.inc();
             array_.touch(*line);
             finishLocal(req, st);
             return;
         }
         lastSpinValid_ = false;
         if (st == MesiState::M || st == MesiState::E) {
-            hits_.inc();
             st = MesiState::M; // silent E->M upgrade
             array_.touch(*line);
             finishLocal(req, MesiState::M);
@@ -163,7 +159,6 @@ MesiL1::access(MemRequest req)
         // S -> M upgrade: GetX; keep the line until the response.
     }
 
-    misses_.inc();
     lastSpinValid_ = false;
     Pending p;
     p.lineAddr = AddrLayout::lineAlign(req.addr);
@@ -248,7 +243,6 @@ MesiL1::handleMessage(const Message& msg)
         break;
 
       case MsgType::Inv: {
-        invsReceived_.inc();
         if (auto* line = array_.find(msg.addr))
             array_.invalidate(*line);
         if (watch_ && watch_->lineAddr == msg.addr)
@@ -390,18 +384,6 @@ MesiL1::lineState(Addr addr) const
     if (!line)
         return std::nullopt;
     return line->state.state;
-}
-
-void
-MesiL1::registerStats(const StatsScope& scope)
-{
-    scope.add("accesses", accesses_);
-    scope.add("hits", hits_);
-    scope.add("misses", misses_);
-    scope.add("invs_received", invsReceived_);
-    scope.add("writebacks", writebacks_);
-    scope.add("spin_parks", spinParks_);
-    scope.add("spin_watch_timeouts", spinWatchTimeouts_);
 }
 
 } // namespace cbsim

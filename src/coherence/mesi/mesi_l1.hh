@@ -79,7 +79,15 @@ class MesiL1 : public L1Controller
 
     void dumpDebug(JsonWriter& w) const override;
 
-    void registerStats(const StatsScope& scope);
+    /** L1 data-array accesses (energy model input). */
+    std::uint64_t accesses() const { return accesses_.value(); }
+    /** Dirty lines written back (PutM) on eviction. */
+    std::uint64_t writebacks() const { return writebacks_.value(); }
+    /** Spin watches released by the liveness timeout. */
+    std::uint64_t spinWatchTimeouts() const
+    {
+        return spinWatchTimeouts_.value();
+    }
 
     /**
      * Enable contention attribution: spin re-acquires after an
@@ -168,12 +176,8 @@ class MesiL1 : public L1Controller
     void parkSpin(MemRequest req);
     void unparkSpin(bool spurious);
 
-    Counter accesses_;   ///< L1 data-array accesses (energy model input)
-    Counter hits_;
-    Counter misses_;
-    Counter invsReceived_;
+    Counter accesses_;
     Counter writebacks_;
-    Counter spinParks_;
     Counter spinWatchTimeouts_;
 
     AttributionTable* attr_ = nullptr;

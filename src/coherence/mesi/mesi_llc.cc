@@ -75,7 +75,6 @@ MesiLlcBank::ensurePresent(const Message& msg)
     }
     // Miss: lock the line, fetch from memory, then replay.
     locks_.lock(line_addr);
-    fills_.inc();
     memory_.read(line_addr,
                  [this, msg, line_addr] { fillLine(msg, line_addr); });
     return nullptr;
@@ -219,7 +218,6 @@ MesiLlcBank::handleGetX(const Message& msg, Line& line)
         Txn txn;
         txn.request = msg;
         txn.acksLeft = static_cast<unsigned>(std::popcount(to_inv));
-        invFanout_.sample(txn.acksLeft);
         if (attr_ != nullptr && msg.sync)
             attr_->row(line_addr).invalidations += txn.acksLeft;
         txns_.emplace(line_addr, txn);
@@ -367,17 +365,6 @@ MesiLlcBank::dumpDebug(JsonWriter& w) const
     });
     w.endArray();
     w.endObject();
-}
-
-void
-MesiLlcBank::registerStats(const StatsScope& scope)
-{
-    scope.add("accesses", accesses_);
-    scope.add("sync_accesses", syncAccesses_);
-    scope.add("invs_sent", invsSent_);
-    scope.add("fills", fills_);
-    scope.add("recalls", recalls_);
-    scope.add("inv_fanout", invFanout_);
 }
 
 } // namespace cbsim

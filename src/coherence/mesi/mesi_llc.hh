@@ -71,7 +71,13 @@ class MesiLlcBank : public LlcBank
 
     void dumpDebug(JsonWriter& w) const override;
 
-    void registerStats(const StatsScope& scope);
+    /** Data-array accesses (energy and Fig. 1 metric). */
+    std::uint64_t accesses() const { return accesses_.value(); }
+    /** Accesses on behalf of sync-marked instructions. */
+    std::uint64_t syncAccesses() const { return syncAccesses_.value(); }
+    std::uint64_t invsSent() const { return invsSent_.value(); }
+    /** Inclusive evictions that invalidated L1 copies. */
+    std::uint64_t recalls() const { return recalls_.value(); }
 
     /**
      * Enable contention attribution: invalidation fan-out of
@@ -127,16 +133,10 @@ class MesiLlcBank : public LlcBank
     LineLockTable locks_;
     std::unordered_map<Addr, Txn> txns_;
 
-    Counter accesses_;     ///< data-array accesses (energy/Fig. 1 metric)
-    Counter syncAccesses_; ///< accesses from sync-marked instructions
+    Counter accesses_;
+    Counter syncAccesses_;
     Counter invsSent_;
-    Counter fills_;
     Counter recalls_;
-    /**
-     * Sharers invalidated per write (GetX fanout) — the per-write cost
-     * the callback techniques avoid entirely (paper §2).
-     */
-    Histogram invFanout_;
 
     AttributionTable* attr_ = nullptr;
 };

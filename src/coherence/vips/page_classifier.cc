@@ -40,11 +40,4 @@ PageClassifier::peek(Addr addr) const
     return it->second.shared ? PageClass::Shared : PageClass::Private;
 }
 
-void
-PageClassifier::registerStats(const StatsScope& scope)
-{
-    scope.add("private_pages", privatePages_);
-    scope.add("transitions", transitions_);
-}
-
 } // namespace cbsim

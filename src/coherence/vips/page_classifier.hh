@@ -63,7 +63,10 @@ class PageClassifier
         return it->second.owner;
     }
 
-    void registerStats(const StatsScope& scope);
+    /** Pages first touched so far (each starts Private). */
+    std::uint64_t privatePages() const { return privatePages_.value(); }
+    /** Private -> Shared promotions so far. */
+    std::uint64_t transitions() const { return transitions_.value(); }
 
   private:
     struct PageInfo

@@ -29,7 +29,6 @@ VipsL1::access(MemRequest req)
     accesses_.inc();
     auto* line = array_.find(req.addr);
     if (line) {
-        hits_.inc();
         array_.touch(*line);
         Word result = 0;
         if (req.op == MemOp::Load) {
@@ -43,7 +42,6 @@ VipsL1::access(MemRequest req)
         return;
     }
 
-    misses_.inc();
     missFill(std::move(req));
 }
 
@@ -70,8 +68,6 @@ void
 VipsL1::issueThrough(MemRequest req)
 {
     CBSIM_ASSERT(!pendingThrough_, "second outstanding racy request");
-    throughOps_.inc();
-
     Message msg;
     msg.src = node_;
     msg.dst = AddrLayout::bankOf(req.addr, numBanks_);
@@ -186,10 +182,8 @@ VipsL1::selfInvalidateNow(FenceCompletion done)
     // lines (so they can be invalidated), then discards Shared lines.
     array_.forEachValid([this](Line& line) {
         flushLine(line);
-        if (!line.state.privatePage) {
-            selfInvalidations_.inc();
+        if (!line.state.privatePage)
             array_.invalidate(line);
-        }
     });
     if (outstandingFlushAcks_ == 0) {
         eq_.schedule(1, std::move(done));
@@ -315,17 +309,6 @@ VipsL1::dumpDebug(JsonWriter& w) const
         w.null();
     }
     w.endObject();
-}
-
-void
-VipsL1::registerStats(const StatsScope& scope)
-{
-    scope.add("accesses", accesses_);
-    scope.add("hits", hits_);
-    scope.add("misses", misses_);
-    scope.add("self_invalidations", selfInvalidations_);
-    scope.add("wt_flushes", wtFlushes_);
-    scope.add("through_ops", throughOps_);
 }
 
 } // namespace cbsim

@@ -76,7 +76,10 @@ class VipsL1 : public L1Controller
 
     void dumpDebug(JsonWriter& w) const override;
 
-    void registerStats(const StatsScope& scope);
+    /** L1 data-array accesses (energy model input). */
+    std::uint64_t accesses() const { return accesses_.value(); }
+    /** Dirty lines written through to the LLC (WtFlush). */
+    std::uint64_t wtFlushes() const { return wtFlushes_.value(); }
 
   private:
     struct VipsLine
@@ -125,11 +128,7 @@ class VipsL1 : public L1Controller
     FaultInjector* faults_ = nullptr;
 
     Counter accesses_;
-    Counter hits_;
-    Counter misses_;
-    Counter selfInvalidations_; ///< lines discarded by self-invl fences
     Counter wtFlushes_;
-    Counter throughOps_;
 };
 
 } // namespace cbsim

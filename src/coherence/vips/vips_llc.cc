@@ -77,7 +77,6 @@ VipsLlcBank::ensurePresent(const Message& msg)
         return true;
     }
     locks_.lock(line_addr);
-    fills_.inc();
     memory_.read(line_addr,
                  [this, msg, line_addr] { fillLine(msg, line_addr); });
     return false;
@@ -170,6 +169,21 @@ VipsLlcBank::handleLdThrough(const Message& msg)
 }
 
 void
+VipsLlcBank::park(const Message& msg)
+{
+    waiters_[AddrLayout::wordAlign(msg.addr)][msg.requester] =
+        Waiter{msg, eq_.now()};
+    if (attr_ != nullptr)
+        attr_->row(msg.addr).parks++;
+    if (causal_ != nullptr)
+        causal_->recordPark(msg.addr, msg.requester, eq_.now());
+    if (trace_ != nullptr) {
+        trace_->park(bank_, msg.requester, eq_.now());
+        trace_->linePark(msg.addr, msg.requester, eq_.now());
+    }
+}
+
+void
 VipsLlcBank::handleGetCB(const Message& msg)
 {
     // GetCB consults the callback directory *before* the LLC (Fig. 2).
@@ -178,16 +192,7 @@ VipsLlcBank::handleGetCB(const Message& msg)
     CbReadResult res = cbdir_.ldCb(msg.addr, msg.requester);
     handleEviction(res);
     if (res.blocked) {
-        waiters_[AddrLayout::wordAlign(msg.addr)]
-                [msg.requester] = Waiter{msg, eq_.now()};
-        if (attr_ != nullptr)
-            attr_->row(msg.addr).parks++;
-        if (causal_ != nullptr)
-            causal_->recordPark(msg.addr, msg.requester, eq_.now());
-        if (trace_ != nullptr) {
-            trace_->park(bank_, msg.requester, eq_.now());
-            trace_->linePark(msg.addr, msg.requester, eq_.now());
-        }
+        park(msg);
         return; // no LLC access, no response until a write wakes us
     }
     chargeAccess(msg);
@@ -217,16 +222,7 @@ VipsLlcBank::handleAtomic(const Message& msg)
         CbReadResult res = cbdir_.ldCb(msg.addr, msg.requester);
         handleEviction(res);
         if (res.blocked) {
-            waiters_[AddrLayout::wordAlign(msg.addr)]
-                    [msg.requester] = Waiter{msg, eq_.now()};
-            if (attr_ != nullptr)
-                attr_->row(msg.addr).parks++;
-            if (causal_ != nullptr)
-                causal_->recordPark(msg.addr, msg.requester, eq_.now());
-            if (trace_ != nullptr) {
-                trace_->park(bank_, msg.requester, eq_.now());
-                trace_->linePark(msg.addr, msg.requester, eq_.now());
-            }
+            park(msg);
             return; // the whole RMW is held off in the callback directory
         }
     } else {
@@ -314,8 +310,6 @@ VipsLlcBank::processWakes(Addr word, const std::vector<CoreId>& initial,
             executeRmw(req, queue);
         }
     }
-    if (!queue.empty())
-        wakeBatch_.sample(queue.size());
 }
 
 void
@@ -389,18 +383,6 @@ VipsLlcBank::dumpDebug(JsonWriter& w) const
     });
     w.endArray();
     w.endObject();
-}
-
-void
-VipsLlcBank::registerStats(const StatsScope& scope)
-{
-    scope.add("accesses", accesses_);
-    scope.add("sync_accesses", syncAccesses_);
-    scope.add("cbdir_accesses", cbdirAccesses_);
-    scope.add("fills", fills_);
-    scope.add("wakes_sent", wakesSent_);
-    scope.add("wake_batch", wakeBatch_);
-    cbdir_.registerStats(scope.scope("cbdir"));
 }
 
 } // namespace cbsim

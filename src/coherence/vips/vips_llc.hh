@@ -90,7 +90,13 @@ class VipsLlcBank : public LlcBank
 
     void dumpDebug(JsonWriter& w) const override;
 
-    void registerStats(const StatsScope& scope);
+    /** LLC data accesses (Fig. 1/20 metric). */
+    std::uint64_t accesses() const { return accesses_.value(); }
+    /** Accesses on behalf of sync-marked instructions. */
+    std::uint64_t syncAccesses() const { return syncAccesses_.value(); }
+    std::uint64_t cbdirAccesses() const { return cbdirAccesses_.value(); }
+    /** Waiters released from the callback directory. */
+    std::uint64_t wakesSent() const { return wakesSent_.value(); }
 
   private:
     struct LineInfo
@@ -108,6 +114,12 @@ class VipsLlcBank : public LlcBank
     void handleGetCB(const Message& msg);
     void handleStore(const Message& msg, WakePolicy policy);
     void handleAtomic(const Message& msg);
+
+    /**
+     * Park @p msg (a blocked GetCB or callback RMW) in waiters_ and
+     * record the park for attribution, causal tracing and the trace.
+     */
+    void park(const Message& msg);
 
     /**
      * Satisfy parked waiters of @p word in FIFO list order. Woken plain
@@ -162,16 +174,10 @@ class VipsLlcBank : public LlcBank
     /** Parked blocked callback requests: word -> core -> waiter. */
     std::unordered_map<Addr, std::map<CoreId, Waiter>> waiters_;
 
-    Counter accesses_;     ///< LLC data accesses (Fig. 1/20 metric)
+    Counter accesses_;
     Counter syncAccesses_;
     Counter cbdirAccesses_;
-    Counter fills_;
     Counter wakesSent_;
-    /**
-     * Waiters satisfied per wake cascade (a store's st_cbA burst vs
-     * st_cb1's strict hand-off of one).
-     */
-    Histogram wakeBatch_;
 };
 
 } // namespace cbsim

@@ -8,17 +8,6 @@
 
 namespace cbsim {
 
-void
-SyncStats::registerStats(const StatsScope& scope)
-{
-    for (std::size_t k = 1; k < numKinds; ++k) {
-        const StatsScope kind =
-            scope.scope(syncKindName(static_cast<SyncKind>(k)));
-        kind.add("latency", latency[k]);
-        kind.add("completions", completions[k]);
-    }
-}
-
 Core::Core(CoreId id, EventQueue& eq, L1Controller& l1,
            const BackoffConfig& backoff, SyncStats& sync_stats,
            std::function<void()> on_done)
@@ -140,19 +129,14 @@ Core::step()
             return;
           default: {
             CBSIM_ASSERT(isMemory(ins.op), "unhandled opcode");
-            memOps_.inc();
             Tick delay = t;
             if (ins.spin) {
                 const Tick b = backoff_.nextDelay(pc_);
-                if (backoff_.consecutiveRetries() > 0) {
-                    spinRetries_.inc();
-                    if (attr_ != nullptr) {
-                        const Addr ea = regs_[ins.addrReg] +
-                                        static_cast<Addr>(ins.offset);
-                        attr_->row(ea).backoffIters++;
-                    }
+                if (backoff_.consecutiveRetries() > 0 && attr_ != nullptr) {
+                    const Addr ea =
+                        regs_[ins.addrReg] + static_cast<Addr>(ins.offset);
+                    attr_->row(ea).backoffIters++;
                 }
-                backoffCycles_.inc(b);
                 delay += b;
             } else {
                 backoff_.reset();
@@ -174,7 +158,6 @@ Core::handleRecord(const Instruction& ins, Tick when)
         CBSIM_ASSERT(recordStart_[k] != maxTick,
                      "Record end without start, core ", id_);
         syncStats_.latency[k].sample(when - recordStart_[k]);
-        syncStats_.completions[k].inc();
         recordStart_[k] = maxTick;
     }
 }
@@ -246,11 +229,8 @@ Core::completeMemory(Word value)
     const Instruction& ins = *pendingIns_;
     const Tick stalled = eq_.now() - issuedAt_;
     stallCycles_.inc(stalled);
-    stallLatency_.sample(stalled);
-    if (pendingBlockingCb_) {
+    if (pendingBlockingCb_)
         cbBlockedCycles_.inc(stalled);
-        cbWakeLatency_.sample(stalled);
-    }
     if (attr_ != nullptr && (ins.sync || ins.spin))
         attr_->row(pendingAddr_).cycles += stalled;
     if (causal_ != nullptr) {
@@ -298,19 +278,6 @@ Core::dumpDebug(JsonWriter& w) const
         w.null();
     }
     w.endObject();
-}
-
-void
-Core::registerStats(const StatsScope& scope)
-{
-    scope.add("instructions", instructions_);
-    scope.add("mem_ops", memOps_);
-    scope.add("spin_retries", spinRetries_);
-    scope.add("backoff_cycles", backoffCycles_);
-    scope.add("stall_cycles", stallCycles_);
-    scope.add("cb_blocked_cycles", cbBlockedCycles_);
-    scope.add("stall_latency", stallLatency_);
-    scope.add("cb_wake_latency", cbWakeLatency_);
 }
 
 } // namespace cbsim

@@ -33,10 +33,8 @@ struct SyncStats
     static constexpr std::size_t numKinds =
         static_cast<std::size_t>(SyncKind::NumKinds);
 
-    std::array<Histogram, numKinds> latency;
-    std::array<Counter, numKinds> completions;
-
-    void registerStats(const StatsScope& scope);
+    /** Per-kind Record-region latencies (RunResult::sync reads these). */
+    std::array<HistogramData, numKinds> latency;
 };
 
 /** A single in-order core executing a mini-ISA program. */
@@ -94,7 +92,10 @@ class Core : public Clocked
      */
     void dumpDebug(JsonWriter& w) const;
 
-    void registerStats(const StatsScope& scope);
+    /** All cycles stalled on memory operations. */
+    std::uint64_t stallCycles() const { return stallCycles_.value(); }
+    /** Stall cycles on blocking callback reads; see cbBlockedCycles_. */
+    std::uint64_t cbBlockedCycles() const { return cbBlockedCycles_.value(); }
 
     /**
      * Enable trace export: each completed memory stall becomes a
@@ -156,11 +157,6 @@ class Core : public Clocked
     Addr pendingAddr_ = 0; ///< effective address of pendingIns_
 
     Counter instructions_;
-    Counter memOps_;
-    Counter spinRetries_;
-    Counter backoffCycles_;
-
-    /** All cycles stalled on memory operations. */
     Counter stallCycles_;
     /**
      * Stall cycles on blocking callback reads (ld_cb and callback
@@ -169,15 +165,6 @@ class Core : public Clocked
      * bench_all --only ablation_pause).
      */
     Counter cbBlockedCycles_;
-
-    /** Distribution of per-operation memory stall times. */
-    Histogram stallLatency_;
-    /**
-     * Distribution of blocking-callback wait times (park to wake-up
-     * response) — the wake-up latency tail the callback mechanism is
-     * judged on.
-     */
-    Histogram cbWakeLatency_;
 
     TraceExporter* trace_ = nullptr;
     AttributionTable* attr_ = nullptr;

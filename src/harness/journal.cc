@@ -30,8 +30,19 @@ ResultJournal::append(const std::string& cell_hash, const std::string& row)
         std::error_code ec;
         if (p.has_parent_path())
             std::filesystem::create_directories(p.parent_path(), ec);
+        // A sweep killed mid-append leaves a torn last line with no
+        // newline; start on a fresh line so the rows appended now stay
+        // parsable.
+        bool torn = false;
+        if (std::ifstream is(p, std::ios::binary | std::ios::ate);
+            is && is.tellg() > 0) {
+            is.seekg(-1, std::ios::end);
+            torn = is.get() != '\n';
+        }
         // Append mode: a resumed sweep extends the journal it loaded.
         os_.open(p, std::ios::app);
+        if (torn)
+            os_ << '\n';
         opened_ = true;
     }
     if (!os_) {
@@ -67,12 +78,12 @@ ResultJournal::load(const std::string& path)
         std::string error;
         const JsonValue doc = JsonValue::parse(line, error);
         if (!error.empty())
-            break; // torn tail: the line being written at kill time
+            continue; // torn: the line being written at kill time
         JournalEntry e;
         e.cell = doc.getString("cell");
         e.row = doc.getString("row");
         if (e.cell.empty() || e.row.empty())
-            break;
+            continue;
         entries.push_back(std::move(e));
     }
     return entries;

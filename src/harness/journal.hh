@@ -19,8 +19,9 @@
  * replayed forever.
  *
  * Appends are flushed line-at-a-time so a SIGKILL between cells loses
- * at most the in-flight line; load() tolerates a torn tail by stopping
- * at the first malformed line.
+ * at most the in-flight line. load() skips a malformed (torn) line, and
+ * the first append of a resumed sweep starts on a fresh line, so the
+ * rows it adds after a torn tail stay readable by the next load().
  */
 
 #ifndef CBSIM_HARNESS_JOURNAL_HH
@@ -65,8 +66,8 @@ class ResultJournal
 
     /**
      * Read every well-formed line of the journal at @p path; a torn or
-     * corrupt tail ends the scan (everything before it is still good).
-     * Missing file = empty journal.
+     * corrupt line is skipped (its cell simply runs again). Missing
+     * file = empty journal.
      */
     static std::vector<JournalEntry> load(const std::string& path);
 

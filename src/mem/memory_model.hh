@@ -21,7 +21,8 @@ namespace cbsim {
 class MemoryModel
 {
   public:
-    MemoryModel(EventQueue& eq, Tick latency, const StatsScope& scope);
+    MemoryModel(EventQueue& eq, Tick latency) : eq_(eq), latency_(latency)
+    {}
 
     /**
      * Issue a read of @p addr's line; @p done fires after the latency.
@@ -45,6 +46,8 @@ class MemoryModel
     }
 
     Tick latency() const { return latency_; }
+    std::uint64_t reads() const { return reads_.value(); }
+    std::uint64_t writes() const { return writes_.value(); }
 
   private:
     EventQueue& eq_;

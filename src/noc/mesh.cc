@@ -21,7 +21,7 @@ Mesh::checked(const NocConfig& cfg)
     return cfg;
 }
 
-Mesh::Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope)
+Mesh::Mesh(EventQueue& eq, const NocConfig& cfg)
     : eq_(eq), cfg_(checked(cfg)), nodes_(cfg_.nodes()),
       route_(std::size_t{nodes_} * nodes_), routers_(nodes_),
       coreHandlers_(nodes_), bankHandlers_(nodes_)
@@ -44,13 +44,6 @@ Mesh::Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope)
             r.dir = dir;
         }
     }
-    scope.add("packets", packets_);
-    scope.add("flit_hops", flitHops_);
-    scope.add("local_deliveries", localDeliveries_);
-    const StatsScope byType = scope.scope("packets");
-    for (std::size_t t = 0; t < packetsByType_.size(); ++t)
-        byType.add(msgTypeName(static_cast<MsgType>(t)), packetsByType_[t]);
-    scope.add("hop_distance", hopDistance_);
 }
 
 void
@@ -122,13 +115,11 @@ Mesh::send(Message msg)
 
     if (p.msg.src == p.msg.dst) {
         // Same-node core<->bank traffic never enters the network.
-        localDeliveries_.inc();
         eq_.schedule(cfg_.localLatency + extra,
                      [this, slot] { deliver(slot); });
         return;
     }
     p.flits = p.msg.flits(cfg_.flitBytes, cfg_.headerBytes, cfg_.lineBytes);
-    hopDistance_.sample(hopCount(p.msg.src, p.msg.dst));
     const NodeId src = p.msg.src;
     if (extra == 0)
         hop(slot, src);

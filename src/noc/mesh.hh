@@ -59,7 +59,7 @@ using MessageHandler = std::function<void(const Message&)>;
 class Mesh
 {
   public:
-    Mesh(EventQueue& eq, const NocConfig& cfg, const StatsScope& scope);
+    Mesh(EventQueue& eq, const NocConfig& cfg);
 
     /** Attach the handler for @p port of node @p node. */
     void attach(NodeId node, Port port, MessageHandler handler);
@@ -80,6 +80,16 @@ class Mesh
 
     /** Total flit-hops so far (the traffic metric). */
     std::uint64_t flitHops() const { return flitHops_.value(); }
+
+    /** Packets injected so far. */
+    std::uint64_t packets() const { return packets_.value(); }
+
+    /** Packets of @p type injected so far. */
+    std::uint64_t
+    packets(MsgType type) const
+    {
+        return packetsByType_[static_cast<std::size_t>(type)].value();
+    }
 
     /**
      * Install the fault injector (null, the default, turns it off):
@@ -175,11 +185,8 @@ class Mesh
 
     Counter packets_;
     Counter flitHops_;
-    Counter localDeliveries_;
     std::array<Counter, static_cast<std::size_t>(MsgType::NumTypes)>
         packetsByType_;
-    /** X-Y route length of each remote packet (locality). */
-    Histogram hopDistance_;
 };
 
 } // namespace cbsim

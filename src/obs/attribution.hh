@@ -7,10 +7,10 @@
  * fan-out and spin re-acquires per line, VIPS/back-off records LLC spin
  * re-reads and back-off iterations, the callback directory records
  * parks, wakes, wake-evictions and park-duration histograms. Components
- * each own an AttributionTable *shard* (registered through StatsScope
- * like counters); Chip folds the shards into one per-line map after the
- * run and attaches the top-N rows — tagged with assembler symbols when
- * the address is labeled — to RunResult::contention (schema v4).
+ * each own an AttributionTable *shard* (handed out by Chip); Chip folds
+ * the shards into one per-line map after the run and attaches the top-N
+ * rows — tagged with assembler symbols when the address is labeled — to
+ * RunResult::contention (schema v4).
  *
  * Determinism contract: a shard is bounded (kDefaultCapacity rows).
  * When a new line arrives at a full shard, the victim is the row with

@@ -2,7 +2,6 @@
 
 #include "obs/trace_export.hh"
 #include "sim/event_queue.hh"
-#include "stats/stats.hh"
 
 namespace cbsim {
 
@@ -16,10 +15,7 @@ const std::array<const char*, 5> EpochSampler::kFieldNames = {
     "blocked_cores",
 };
 
-EpochSampler::EpochSampler(const StatsRegistry& stats,
-                           std::function<std::uint64_t()> blocked_cores)
-    : stats_(stats), blockedCores_(std::move(blocked_cores))
-{}
+EpochSampler::EpochSampler(Probe probe) : probe_(std::move(probe)) {}
 
 void
 EpochSampler::install(EventQueue& eq, Tick epochTicks)
@@ -31,21 +27,16 @@ EpochSampler::install(EventQueue& eq, Tick epochTicks)
 void
 EpochSampler::onEpoch(Tick boundary)
 {
-    const std::uint64_t llc = stats_.sumWhere("llc.", ".accesses");
-    const std::uint64_t flits = stats_.counter("noc.flit_hops");
-    const std::uint64_t packets = stats_.counter("noc.packets");
+    const EpochRow now = probe_();
 
     EpochRow row;
     row.tick = boundary;
-    row.llcAccesses = llc - lastLlc_;
-    row.flitHops = flits - lastFlitHops_;
-    row.packets = packets - lastPackets_;
-    row.blockedCores = blockedCores_();
+    row.llcAccesses = now.llcAccesses - last_.llcAccesses;
+    row.flitHops = now.flitHops - last_.flitHops;
+    row.packets = now.packets - last_.packets;
+    row.blockedCores = now.blockedCores;
     rows_.push_back(row);
-
-    lastLlc_ = llc;
-    lastFlitHops_ = flits;
-    lastPackets_ = packets;
+    last_ = now;
 
     if (trace_ != nullptr) {
         trace_->counter("llc_accesses", boundary, row.llcAccesses);

@@ -29,7 +29,6 @@
 namespace cbsim {
 
 class EventQueue;
-class StatsRegistry;
 class TraceExporter;
 
 /** One epoch window's activity (deltas unless noted). */
@@ -55,11 +54,13 @@ class EpochSampler
     static const std::array<const char*, 5> kFieldNames;
 
     /**
-     * @param stats         the chip's registry (read at boundaries)
-     * @param blocked_cores probe counting cores blocked on memory
+     * The chip's totals at a boundary: cumulative LLC accesses,
+     * flit-hops and packets, plus the cores blocked on memory right
+     * now. The sampler turns the cumulative fields into deltas.
      */
-    EpochSampler(const StatsRegistry& stats,
-                 std::function<std::uint64_t()> blocked_cores);
+    using Probe = std::function<EpochRow()>;
+
+    explicit EpochSampler(Probe probe);
 
     /** Install the boundary hook on @p eq, cutting every @p epochTicks. */
     void install(EventQueue& eq, Tick epochTicks);
@@ -72,13 +73,10 @@ class EpochSampler
   private:
     void onEpoch(Tick boundary);
 
-    const StatsRegistry& stats_;
-    std::function<std::uint64_t()> blockedCores_;
+    Probe probe_;
     TraceExporter* trace_ = nullptr;
     std::vector<EpochRow> rows_;
-    std::uint64_t lastLlc_ = 0;
-    std::uint64_t lastFlitHops_ = 0;
-    std::uint64_t lastPackets_ = 0;
+    EpochRow last_; ///< cumulative totals at the previous boundary
 };
 
 } // namespace cbsim

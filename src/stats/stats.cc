@@ -77,87 +77,6 @@ HistogramData::mean() const
                  : 0.0;
 }
 
-StatsScope
-StatsScope::scope(const std::string& name) const
-{
-    return StatsScope(*reg_, prefix_ + name + ".");
-}
-
-std::string
-StatsScope::qualify(const std::string& name) const
-{
-    return prefix_ + name;
-}
-
-void
-StatsScope::add(const std::string& name, Counter& c) const
-{
-    reg_->add(qualify(name), c);
-}
-
-void
-StatsScope::add(const std::string& name, Histogram& h) const
-{
-    reg_->add(qualify(name), h);
-}
-
-void
-StatsRegistry::add(const std::string& name, Counter& c)
-{
-    auto [it, inserted] = counters_.emplace(name, &c);
-    (void)it;
-    if (!inserted)
-        panic("duplicate counter registration: ", name);
-}
-
-void
-StatsRegistry::add(const std::string& name, Histogram& h)
-{
-    auto [it, inserted] = histograms_.emplace(name, &h);
-    (void)it;
-    if (!inserted)
-        panic("duplicate histogram registration: ", name);
-}
-
-std::uint64_t
-StatsRegistry::counter(const std::string& name) const
-{
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        fatal("unknown counter: ", name);
-    return it->second->value();
-}
-
-bool
-StatsRegistry::hasCounter(const std::string& name) const
-{
-    return counters_.count(name) != 0;
-}
-
-const Histogram&
-StatsRegistry::histogram(const std::string& name) const
-{
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        fatal("unknown histogram: ", name);
-    return *it->second;
-}
-
-std::uint64_t
-StatsRegistry::sumWhere(const std::string& prefix,
-                        const std::string& suffix) const
-{
-    std::uint64_t total = 0;
-    for (auto it = counters_.lower_bound(prefix);
-         it != counters_.end() && it->first.starts_with(prefix); ++it) {
-        const std::string& name = it->first;
-        if (name.size() >= prefix.size() + suffix.size() &&
-            name.ends_with(suffix))
-            total += it->second->value();
-    }
-    return total;
-}
-
 double
 geomean(const std::vector<double>& values)
 {

@@ -18,15 +18,12 @@
 namespace cbsim {
 
 Chip::Chip(const ChipConfig& cfg)
-    : cfg_(cfg), mesh_(eq_, cfg.noc, stats_.scope("noc")),
-      memory_(eq_, cfg.memLatency, stats_.scope("mem"))
+    : cfg_(cfg), mesh_(eq_, cfg.noc), memory_(eq_, cfg.memLatency)
 {
     cfg_.validate();
     // LLC banks see only their own residue class of line numbers; index
     // sets on the post-interleaving bits so the whole bank is usable.
     cfg_.llcBank.indexDivisor = cfg_.numCores;
-    syncStats_.registerStats(stats_.scope("sync"));
-    classifier_.registerStats(stats_.scope("pages"));
 
     const unsigned n = cfg_.numCores;
     l1s_.reserve(n);
@@ -39,12 +36,10 @@ Chip::Chip(const ChipConfig& cfg)
             auto l1 = std::make_unique<MesiL1>(
                 i, node, eq_, mesh_, data_, cfg_.l1, cfg_.l1Latency, n,
                 cfg_.backoff.pauseDelay);
-            l1->registerStats(stats_.scope("l1." + std::to_string(i)));
             mesiL1s_.push_back(l1.get());
             auto bank = std::make_unique<MesiLlcBank>(
                 static_cast<BankId>(i), eq_, mesh_, data_, memory_,
                 cfg_.llcBank, cfg_.llc);
-            bank->registerStats(stats_.scope("llc." + std::to_string(i)));
             mesiBanks_.push_back(bank.get());
             l1s_.push_back(std::move(l1));
             banks_.push_back(std::move(bank));
@@ -52,13 +47,11 @@ Chip::Chip(const ChipConfig& cfg)
             auto l1 = std::make_unique<VipsL1>(
                 i, node, eq_, mesh_, data_, classifier_, cfg_.l1,
                 cfg_.l1Latency, n);
-            l1->registerStats(stats_.scope("l1." + std::to_string(i)));
             vipsL1s_.push_back(l1.get());
             auto bank = std::make_unique<VipsLlcBank>(
                 static_cast<BankId>(i), eq_, mesh_, data_, memory_,
                 cfg_.llcBank, cfg_.llc, cfg_.cbEntriesPerBank,
                 cfg_.cbDirLatency, n);
-            bank->registerStats(stats_.scope("llc." + std::to_string(i)));
             vipsBanks_.push_back(bank.get());
             l1s_.push_back(std::move(l1));
             banks_.push_back(std::move(bank));
@@ -73,11 +66,9 @@ Chip::Chip(const ChipConfig& cfg)
                          bank->handleMessage(m);
                      });
 
-        auto core = std::make_unique<Core>(
+        cores_.push_back(std::make_unique<Core>(
             i, eq_, *l1s_.back(), cfg_.backoff, syncStats_,
-            [this] { ++finished_; });
-        core->registerStats(stats_.scope("core." + std::to_string(i)));
-        cores_.push_back(std::move(core));
+            [this] { ++finished_; }));
     }
 
     if (cfg_.protocol == ProtocolKind::Vips) {
@@ -144,11 +135,14 @@ Chip::buildObs()
         trace_->setSymbols(&symbols_);
 
     if (obs.epochEnabled()) {
-        epochSampler_ = std::make_unique<EpochSampler>(stats_, [this] {
-            std::uint64_t blocked = 0;
+        epochSampler_ = std::make_unique<EpochSampler>([this] {
+            EpochRow now;
+            now.llcAccesses = llcAccesses();
+            now.flitHops = mesh_.flitHops();
+            now.packets = mesh_.packets();
             for (const auto& core : cores_)
-                blocked += core->blockedOnMemory() ? 1 : 0;
-            return blocked;
+                now.blockedCores += core->blockedOnMemory() ? 1 : 0;
+            return now;
         });
         epochSampler_->setTrace(trace_.get());
         epochSampler_->install(eq_, obs.epochTicks);
@@ -265,7 +259,7 @@ Chip::run()
     Tick end = 0;
     for (const auto& core : cores_)
         end = std::max(end, core->doneTick());
-    RunResult result = RunResult::fromStats(stats_, syncStats_, end);
+    RunResult result = totals(end);
     result.events = eq_.executedEvents();
     result.simWallMs = sim_wall_ms;
     if (epochSampler_ != nullptr)
@@ -283,6 +277,60 @@ Chip::run()
     if (trace_ != nullptr)
         trace_->writeFile(cfg_.debug.obs.traceDir, cfg_.debug.label);
     return result;
+}
+
+std::uint64_t
+Chip::llcAccesses() const
+{
+    std::uint64_t n = 0;
+    for (const MesiLlcBank* bank : mesiBanks_)
+        n += bank->accesses();
+    for (const VipsLlcBank* bank : vipsBanks_)
+        n += bank->accesses();
+    return n;
+}
+
+RunResult
+Chip::totals(Tick cycles) const
+{
+    RunResult r;
+    r.cycles = cycles;
+    r.llcAccesses = llcAccesses();
+    for (const MesiLlcBank* bank : mesiBanks_) {
+        r.llcSyncAccesses += bank->syncAccesses();
+        r.invalidationsSent += bank->invsSent();
+    }
+    for (const VipsLlcBank* bank : vipsBanks_) {
+        r.llcSyncAccesses += bank->syncAccesses();
+        r.cbdirAccesses += bank->cbdirAccesses();
+        r.cbWakeups += bank->wakesSent();
+        r.cbdirEvictions += bank->directory().evictions();
+    }
+    for (const MesiL1* l1 : mesiL1s_)
+        r.l1Accesses += l1->accesses();
+    for (const VipsL1* l1 : vipsL1s_)
+        r.l1Accesses += l1->accesses();
+    for (const auto& core : cores_) {
+        r.instructions += core->instructionsRetired();
+        r.stallCycles += core->stallCycles();
+        r.cbBlockedCycles += core->cbBlockedCycles();
+    }
+    r.flitHops = mesh_.flitHops();
+    r.packets = mesh_.packets();
+    r.memReads = memory_.reads();
+
+    for (std::size_t k = 0; k < SyncStats::numKinds; ++k) {
+        const HistogramData& h = syncStats_.latency[k];
+        SyncKindResult& out = r.sync[k];
+        out.completions = h.count;
+        out.meanLatency = h.mean();
+        out.totalLatency = h.sum;
+        out.maxLatency = h.max;
+        out.p50Latency = h.percentile(50.0);
+        out.p95Latency = h.percentile(95.0);
+        out.p99Latency = h.percentile(99.0);
+    }
+    return r;
 }
 
 std::vector<std::string>

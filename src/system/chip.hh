@@ -24,7 +24,6 @@
 #include "mem/data_store.hh"
 #include "mem/memory_model.hh"
 #include "sim/event_queue.hh"
-#include "stats/stats.hh"
 #include "system/chip_config.hh"
 #include "system/run_result.hh"
 
@@ -57,8 +56,10 @@ class Chip
     const ChipConfig& config() const { return cfg_; }
     EventQueue& eventQueue() { return eq_; }
     DataStore& dataStore() { return data_; }
-    StatsRegistry& stats() { return stats_; }
     SyncStats& syncStats() { return syncStats_; }
+    const Mesh& mesh() const { return mesh_; }
+    const MemoryModel& memory() const { return memory_; }
+    const PageClassifier& classifier() const { return classifier_; }
 
     /** The trace exporter, or null when trace export is off. */
     const TraceExporter* traceExporter() const { return trace_.get(); }
@@ -89,9 +90,14 @@ class Chip
     void buildDebug();
     void buildObs();
 
+    /** LLC data accesses summed over every bank. */
+    std::uint64_t llcAccesses() const;
+
+    /** Sum the components' counters into a RunResult. */
+    RunResult totals(Tick cycles) const;
+
     ChipConfig cfg_;
     EventQueue eq_;
-    StatsRegistry stats_;
     DataStore data_;
     Mesh mesh_;
     MemoryModel memory_;

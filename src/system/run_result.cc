@@ -5,39 +5,6 @@
 
 namespace cbsim {
 
-RunResult
-RunResult::fromStats(const StatsRegistry& stats, const SyncStats& sync_stats,
-                     Tick cycles)
-{
-    RunResult r;
-    r.cycles = cycles;
-    r.llcAccesses = stats.sumWhere("llc.", ".accesses");
-    r.llcSyncAccesses = stats.sumWhere("llc.", ".sync_accesses");
-    r.l1Accesses = stats.sumWhere("l1.", ".accesses");
-    r.cbdirAccesses = stats.sumWhere("llc.", ".cbdir_accesses");
-    r.flitHops = stats.counter("noc.flit_hops");
-    r.packets = stats.counter("noc.packets");
-    r.memReads = stats.counter("mem.reads");
-    r.instructions = stats.sumWhere("core.", ".instructions");
-    r.invalidationsSent = stats.sumWhere("llc.", ".invs_sent");
-    r.cbWakeups = stats.sumWhere("llc.", ".wakes_sent");
-    r.cbdirEvictions = stats.sumWhere("llc.", ".cbdir.evictions");
-    r.stallCycles = stats.sumWhere("core.", ".stall_cycles");
-    r.cbBlockedCycles = stats.sumWhere("core.", ".cb_blocked_cycles");
-
-    for (std::size_t k = 0; k < SyncStats::numKinds; ++k) {
-        const auto& h = sync_stats.latency[k];
-        r.sync[k].completions = h.count();
-        r.sync[k].meanLatency = h.mean();
-        r.sync[k].totalLatency = h.sum();
-        r.sync[k].maxLatency = h.max();
-        r.sync[k].p50Latency = h.percentile(50.0);
-        r.sync[k].p95Latency = h.percentile(95.0);
-        r.sync[k].p99Latency = h.percentile(99.0);
-    }
-    return r;
-}
-
 namespace {
 
 /** Percentile rounded to whole cycles for the scalar-field table. */

@@ -17,7 +17,6 @@
 #include "obs/attribution.hh"
 #include "obs/causal.hh"
 #include "obs/epoch.hh"
-#include "stats/stats.hh"
 
 namespace cbsim {
 
@@ -100,11 +99,6 @@ struct RunResult
     static const std::array<std::pair<const char*, std::uint64_t RunResult::*>,
                             14>
         kCounters;
-
-    /** Extract every metric from a finished run's stats. */
-    static RunResult fromStats(const StatsRegistry& stats,
-                               const SyncStats& sync,
-                               Tick cycles);
 
     /**
      * Every scalar counter as a (snake_case name, value) pair, in a

@@ -26,6 +26,12 @@ struct MesiFixture : ::testing::Test
                                                  cores));
         idleAll(*chip);
     }
+
+    std::uint64_t
+    packets(MsgType t) const
+    {
+        return chip->mesh().packets(t);
+    }
 };
 
 TEST_F(MesiFixture, FirstReaderGetsExclusive)
@@ -64,11 +70,11 @@ TEST_F(MesiFixture, StoreOnExclusiveSilentlyUpgrades)
     a.ld(2, 1);
     a.stImm(5, 1);
     chip->setProgram(0, a.assemble());
-    const auto before = chip->stats().counter("noc.packets.GetX");
+    const auto before = packets(MsgType::GetX);
     chip->run();
     EXPECT_EQ(*mesiL1(*chip, 0).lineState(kData), MesiState::M);
     // E->M must not have produced a GetX.
-    EXPECT_EQ(chip->stats().counter("noc.packets.GetX"), before);
+    EXPECT_EQ(packets(MsgType::GetX), before);
     EXPECT_EQ(chip->dataStore().read(kData), 5u);
 }
 
@@ -92,7 +98,10 @@ TEST_F(MesiFixture, WriterInvalidatesSharers)
     EXPECT_EQ(*mesiL1(*chip, 0).lineState(kFlag), MesiState::M);
     for (CoreId c : {1u, 2u, 3u})
         EXPECT_FALSE(mesiL1(*chip, c).lineState(kFlag).has_value());
-    EXPECT_GE(chip->stats().sumWhere("llc.", ".invs_sent"), 3u);
+    std::uint64_t invs = 0;
+    for (BankId b = 0; b < chip->config().numCores; ++b)
+        invs += mesiBank(*chip, b).invsSent();
+    EXPECT_GE(invs, 3u);
 }
 
 TEST_F(MesiFixture, SpinnerSpinsLocallyUntilInvalidated)
@@ -167,7 +176,7 @@ TEST_F(MesiFixture, OwnerForwardsToReader)
     EXPECT_EQ(chip->core(1).reg(2), 7u);
     EXPECT_EQ(*mesiL1(*chip, 0).lineState(kData), MesiState::S);
     EXPECT_EQ(*mesiL1(*chip, 1).lineState(kData), MesiState::S);
-    EXPECT_GE(chip->stats().counter("noc.packets.FwdGetS"), 1u);
+    EXPECT_GE(packets(MsgType::FwdGetS), 1u);
 }
 
 TEST_F(MesiFixture, OwnerYieldsToWriter)
@@ -187,7 +196,7 @@ TEST_F(MesiFixture, OwnerYieldsToWriter)
     chip->run();
     EXPECT_FALSE(mesiL1(*chip, 0).lineState(kData).has_value());
     EXPECT_EQ(*mesiL1(*chip, 1).lineState(kData), MesiState::M);
-    EXPECT_GE(chip->stats().counter("noc.packets.FwdGetX"), 1u);
+    EXPECT_GE(packets(MsgType::FwdGetX), 1u);
     EXPECT_EQ(chip->dataStore().read(kData), 2u);
 }
 
@@ -203,9 +212,8 @@ TEST_F(MesiFixture, DirtyEvictionWritesBack)
     }
     chip->setProgram(0, a.assemble());
     chip->run();
-    EXPECT_GE(chip->stats().counter("noc.packets.PutM"), 4u);
-    EXPECT_EQ(chip->stats().counter("l1.0.writebacks"),
-              chip->stats().counter("noc.packets.PutM"));
+    EXPECT_GE(packets(MsgType::PutM), 4u);
+    EXPECT_EQ(mesiL1(*chip, 0).writebacks(), packets(MsgType::PutM));
 }
 
 TEST_F(MesiFixture, ValuePropagatesThroughInvalidation)

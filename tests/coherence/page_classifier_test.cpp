@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "coherence/vips/page_classifier.hh"
-#include "stats/stats.hh"
 
 namespace cbsim {
 namespace {
@@ -64,13 +63,11 @@ TEST(PageClassifier, UnknownPagePeeksPrivate)
 TEST(PageClassifier, StatsCountTransitions)
 {
     PageClassifier pc;
-    StatsRegistry stats;
-    pc.registerStats(stats.scope("pages"));
     pc.classify(0x1000, 0);
     pc.classify(0x2000, 0);
     pc.classify(0x1000, 1);
-    EXPECT_EQ(stats.counter("pages.private_pages"), 2u);
-    EXPECT_EQ(stats.counter("pages.transitions"), 1u);
+    EXPECT_EQ(pc.privatePages(), 2u);
+    EXPECT_EQ(pc.transitions(), 1u);
 }
 
 } // namespace

@@ -34,7 +34,16 @@ struct VipsFixture : ::testing::Test
     std::uint64_t
     llcSync() const
     {
-        return chip->stats().sumWhere("llc.", ".sync_accesses");
+        std::uint64_t n = 0;
+        for (BankId b = 0; b < chip->config().numCores; ++b)
+            n += vipsBank(*chip, b).syncAccesses();
+        return n;
+    }
+
+    std::uint64_t
+    packets(MsgType t) const
+    {
+        return chip->mesh().packets(t);
     }
 };
 
@@ -98,7 +107,7 @@ TEST_F(VipsFixture, CallbackBlocksInsteadOfSpinning)
     // Blocked in the directory: only a handful of sync LLC accesses.
     EXPECT_LT(llcSync(), 8u);
     EXPECT_GE(result.cbWakeups, 1u);
-    EXPECT_EQ(chip->stats().counter("noc.packets.WakeUp"), 1u);
+    EXPECT_EQ(packets(MsgType::WakeUp), 1u);
 }
 
 TEST_F(VipsFixture, ThreeMessageValueHandOff)
@@ -121,13 +130,12 @@ TEST_F(VipsFixture, ThreeMessageValueHandOff)
     chip->setProgram(0, w.assemble());
 
     chip->run();
-    const auto& st = chip->stats();
     // The first ld_cb consumes the fresh-full entry (1 GetCB +
     // 1 DataWord), the second blocks (1 GetCB) and gets 1 WakeUp.
-    EXPECT_EQ(st.counter("noc.packets.GetCB"), 2u);
-    EXPECT_EQ(st.counter("noc.packets.WakeUp"), 1u);
-    EXPECT_EQ(st.counter("noc.packets.StThrough"), 1u);
-    EXPECT_EQ(st.counter("noc.packets.Inv"), 0u);
+    EXPECT_EQ(packets(MsgType::GetCB), 2u);
+    EXPECT_EQ(packets(MsgType::WakeUp), 1u);
+    EXPECT_EQ(packets(MsgType::StThrough), 1u);
+    EXPECT_EQ(packets(MsgType::Inv), 0u);
 }
 
 TEST_F(VipsFixture, SelfDowngradeFlushesDirtyWords)
@@ -140,8 +148,8 @@ TEST_F(VipsFixture, SelfDowngradeFlushesDirtyWords)
     a.selfDown();
     chip->setProgram(0, a.assemble());
     chip->run();
-    EXPECT_EQ(chip->stats().counter("l1.0.wt_flushes"), 1u);
-    EXPECT_EQ(chip->stats().counter("noc.packets.WtFlush"), 1u);
+    EXPECT_EQ(vipsL1(*chip, 0).wtFlushes(), 1u);
+    EXPECT_EQ(packets(MsgType::WtFlush), 1u);
     EXPECT_EQ(vipsL1(*chip, 0).dirtyMask(kData), 0u);
     EXPECT_TRUE(vipsL1(*chip, 0).cached(kData)); // downgrade keeps data
 }
@@ -203,9 +211,8 @@ TEST_F(VipsFixture, StCb1WakesExactlyOneWaiter)
     chip->setProgram(0, w.assemble());
 
     chip->run();
-    const auto& st = chip->stats();
-    EXPECT_EQ(st.counter("noc.packets.StCb1"), 1u);
-    EXPECT_EQ(st.counter("noc.packets.WakeUp"), 3u);
+    EXPECT_EQ(packets(MsgType::StCb1), 1u);
+    EXPECT_EQ(packets(MsgType::WakeUp), 3u);
 }
 
 TEST_F(VipsFixture, RmwHeldInDirectoryReExecutesOnWake)
@@ -236,7 +243,7 @@ TEST_F(VipsFixture, RmwHeldInDirectoryReExecutesOnWake)
     EXPECT_EQ(chip->dataStore().read(kFlag), 1u);
     // Exactly one blocked atomic request was sent; the successful retry
     // happened inside the bank (no second AtomicReq from core 1).
-    EXPECT_EQ(chip->stats().counter("noc.packets.AtomicReq"), 3u);
+    EXPECT_EQ(packets(MsgType::AtomicReq), 3u);
 }
 
 TEST_F(VipsFixture, PrematureWakeFailsAndReblocks)
@@ -310,7 +317,10 @@ TEST_F(VipsFixture, DirectoryEvictionPreservesLiveness)
     for (CoreId c : {1u, 2u, 3u})
         EXPECT_EQ(chip->core(c).reg(2), 1u);
     // With one entry and three words there must have been evictions.
-    EXPECT_GE(chip->stats().sumWhere("llc.", ".cbdir.evictions"), 1u);
+    std::uint64_t evictions = 0;
+    for (BankId b = 0; b < chip->config().numCores; ++b)
+        evictions += chip->callbackDirectory(b).evictions();
+    EXPECT_GE(evictions, 1u);
 }
 
 TEST_F(VipsFixture, PageTransitionFlushesPreviousOwner)
@@ -333,8 +343,8 @@ TEST_F(VipsFixture, PageTransitionFlushesPreviousOwner)
 
     chip->run();
     EXPECT_FALSE(vipsL1(*chip, 0).cached(0xA0000));
-    EXPECT_EQ(chip->stats().counter("pages.transitions"), 1u);
-    EXPECT_GE(chip->stats().counter("l1.0.wt_flushes"), 1u);
+    EXPECT_EQ(chip->classifier().transitions(), 1u);
+    EXPECT_GE(vipsL1(*chip, 0).wtFlushes(), 1u);
 }
 
 TEST_F(VipsFixture, GuardLdThroughPreventsBackToBackSpinDeadlock)

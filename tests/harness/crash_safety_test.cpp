@@ -484,6 +484,19 @@ TEST(Journal, AppendLoadRoundTripAndTornTailTolerance)
     EXPECT_EQ(entries[0].row, "{\n  \"key\": \"a\"\n}");
     EXPECT_EQ(entries[1].cell, "00bb");
 
+    // A resumed sweep appends after the torn tail: its rows must start
+    // on a fresh line and survive the next load.
+    {
+        ResultJournal resumed(path);
+        EXPECT_TRUE(resumed.append("00dd", "{\n  \"key\": \"d\"\n}"));
+    }
+    const auto after = ResultJournal::load(path);
+    ASSERT_EQ(after.size(), 3u);
+    EXPECT_EQ(after[0].cell, "00aa");
+    EXPECT_EQ(after[1].cell, "00bb");
+    EXPECT_EQ(after[2].cell, "00dd");
+    EXPECT_EQ(after[2].row, "{\n  \"key\": \"d\"\n}");
+
     ResultJournal::removeFile(path);
     EXPECT_FALSE(fs::exists(path));
     EXPECT_TRUE(ResultJournal::load(path).empty());

@@ -5,30 +5,86 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "../support/chip_helpers.hh"
 #include "system/chip_config.hh"
 #include "system/run_result.hh"
+#include "workload/program_gen.hh"
+#include "workload/suite.hh"
 
 namespace cbsim {
 namespace {
 
-TEST(RunResultSums, SumWhereMatchesPrefixAndSuffix)
+/**
+ * Chip builds RunResult by summing the components' counters: every
+ * total matches a sum taken by hand over the typed controllers, sync
+ * accesses are a subset of (not added to) LLC accesses, and each
+ * protocol leaves the other protocol's totals at zero.
+ */
+TEST(RunResultSums, ChipTotalsSumTheComponentCounters)
 {
-    StatsRegistry stats;
-    Counter a, b, c, d;
-    stats.add("llc.0.accesses", a);
-    stats.add("llc.1.accesses", b);
-    stats.add("llc.0.sync_accesses", c);
-    stats.add("l1.0.accesses", d);
-    a.inc(5);
-    b.inc(7);
-    c.inc(100);
-    d.inc(1000);
-    // Strict suffix match: "sync_accesses" must NOT count as
-    // ".accesses" (they are separate metrics).
-    EXPECT_EQ(stats.sumWhere("llc.", ".accesses"), 12u);
-    EXPECT_EQ(stats.sumWhere("llc.", ".sync_accesses"), 100u);
-    EXPECT_EQ(stats.sumWhere("l1.", ".accesses"), 1000u);
-    EXPECT_EQ(stats.sumWhere("zz.", ".accesses"), 0u);
+    constexpr unsigned cores = 4;
+    for (const auto& [technique, flavor] :
+         {std::pair{Technique::Invalidation, SyncFlavor::Mesi},
+          std::pair{Technique::CbOne, SyncFlavor::CbOne}}) {
+        SCOPED_TRACE(techniqueName(technique));
+        auto w = buildWorkload(scaled(benchmark("canneal"), 0.05), cores,
+                               flavor, LockAlgo::Clh,
+                               BarrierAlgo::TreeSenseReversing);
+        Chip chip(testConfig(technique, cores));
+        w.layout.apply(chip.dataStore());
+        for (CoreId c = 0; c < cores; ++c)
+            chip.setProgram(c, w.programs[c]);
+        const RunResult r = chip.run();
+
+        const bool mesi = technique == Technique::Invalidation;
+        RunResult sum;
+        for (CoreId c = 0; c < cores; ++c) {
+            sum.instructions += chip.core(c).instructionsRetired();
+            sum.stallCycles += chip.core(c).stallCycles();
+            sum.cbBlockedCycles += chip.core(c).cbBlockedCycles();
+            if (mesi) {
+                sum.l1Accesses += mesiL1(chip, c).accesses();
+                sum.llcAccesses += mesiBank(chip, c).accesses();
+                sum.llcSyncAccesses += mesiBank(chip, c).syncAccesses();
+                sum.invalidationsSent += mesiBank(chip, c).invsSent();
+            } else {
+                const VipsLlcBank& bank = vipsBank(chip, c);
+                sum.l1Accesses += vipsL1(chip, c).accesses();
+                sum.llcAccesses += bank.accesses();
+                sum.llcSyncAccesses += bank.syncAccesses();
+                sum.cbdirAccesses += bank.cbdirAccesses();
+                sum.cbWakeups += bank.wakesSent();
+                sum.cbdirEvictions += bank.directory().evictions();
+            }
+        }
+        EXPECT_EQ(r.instructions, sum.instructions);
+        EXPECT_EQ(r.stallCycles, sum.stallCycles);
+        EXPECT_EQ(r.cbBlockedCycles, sum.cbBlockedCycles);
+        EXPECT_EQ(r.l1Accesses, sum.l1Accesses);
+        EXPECT_EQ(r.llcAccesses, sum.llcAccesses);
+        EXPECT_EQ(r.llcSyncAccesses, sum.llcSyncAccesses);
+        EXPECT_EQ(r.invalidationsSent, sum.invalidationsSent);
+        EXPECT_EQ(r.cbdirAccesses, sum.cbdirAccesses);
+        EXPECT_EQ(r.cbWakeups, sum.cbWakeups);
+        EXPECT_EQ(r.cbdirEvictions, sum.cbdirEvictions);
+        EXPECT_EQ(r.flitHops, chip.mesh().flitHops());
+        EXPECT_EQ(r.packets, chip.mesh().packets());
+        EXPECT_EQ(r.memReads, chip.memory().reads());
+
+        EXPECT_GT(r.llcSyncAccesses, 0u);
+        EXPECT_LT(r.llcSyncAccesses, r.llcAccesses);
+        if (mesi) {
+            EXPECT_GT(r.invalidationsSent, 0u);
+            EXPECT_EQ(r.cbdirAccesses, 0u);
+            EXPECT_EQ(r.cbWakeups, 0u);
+        } else {
+            EXPECT_EQ(r.invalidationsSent, 0u);
+            EXPECT_GT(r.cbdirAccesses, 0u);
+            EXPECT_GT(r.cbWakeups, 0u);
+        }
+    }
 }
 
 TEST(ChipConfig, Table2Defaults)

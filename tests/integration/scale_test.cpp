@@ -99,8 +99,8 @@ TEST(ExtensionLocks, TicketReleaseBroadcastsEvenUnderCbOne)
     chip.run(); // a stranded waiter would trip the tick guard
     EXPECT_EQ(chip.dataStore().read(guard), 16u);
     // The broadcast shows up as st_through packets, not st_cb1.
-    EXPECT_EQ(chip.stats().counter("noc.packets.StCb1"), 0u);
-    EXPECT_GT(chip.stats().counter("noc.packets.StThrough"), 0u);
+    EXPECT_EQ(chip.mesh().packets(MsgType::StCb1), 0u);
+    EXPECT_GT(chip.mesh().packets(MsgType::StThrough), 0u);
 }
 
 } // namespace

@@ -137,7 +137,7 @@ TEST_F(CoreFixture, RecordSamplesLatency)
     auto core = makeCore(a.assemble());
     runProgram(*core);
     const auto k = static_cast<std::size_t>(SyncKind::Acquire);
-    EXPECT_EQ(syncStats.latency[k].count(), 1u);
+    EXPECT_EQ(syncStats.latency[k].count, 1u);
     EXPECT_GE(syncStats.latency[k].mean(), 100.0);
     EXPECT_LT(syncStats.latency[k].mean(), 110.0);
 }

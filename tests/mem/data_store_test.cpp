@@ -7,7 +7,6 @@
 
 #include "mem/data_store.hh"
 #include "mem/memory_model.hh"
-#include "stats/stats.hh"
 
 namespace cbsim {
 namespace {
@@ -48,23 +47,21 @@ TEST(DataStore, FootprintCountsDistinctWords)
 TEST(MemoryModel, ReadCompletesAfterLatency)
 {
     EventQueue eq;
-    StatsRegistry stats;
-    MemoryModel mem(eq, 160, stats.scope("mem"));
+    MemoryModel mem(eq, 160);
     Tick done_at = 0;
     eq.schedule(10, [&] { mem.read(0x1000, [&] { done_at = eq.now(); }); });
     eq.run();
     EXPECT_EQ(done_at, 170u);
-    EXPECT_EQ(stats.counter("mem.reads"), 1u);
+    EXPECT_EQ(mem.reads(), 1u);
 }
 
 TEST(MemoryModel, WritesAreCounted)
 {
     EventQueue eq;
-    StatsRegistry stats;
-    MemoryModel mem(eq, 160, stats.scope("mem"));
+    MemoryModel mem(eq, 160);
     mem.write(0x40);
     mem.write(0x80);
-    EXPECT_EQ(stats.counter("mem.writes"), 2u);
+    EXPECT_EQ(mem.writes(), 2u);
 }
 
 } // namespace

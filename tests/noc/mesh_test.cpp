@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <string>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -21,7 +20,6 @@ namespace {
 struct MeshFixture : ::testing::Test
 {
     EventQueue eq;
-    StatsRegistry stats;
     NocConfig cfg;
     std::unique_ptr<Mesh> mesh;
 
@@ -30,7 +28,7 @@ struct MeshFixture : ::testing::Test
     {
         cfg.width = w;
         cfg.height = h;
-        mesh = std::make_unique<Mesh>(eq, cfg, stats.scope("noc"));
+        mesh = std::make_unique<Mesh>(eq, cfg);
     }
 
     Message
@@ -97,9 +95,15 @@ TEST_F(MeshFixture, FlitHopAccounting)
     mesh->send(msg(0, 3, MsgType::Data));  // 3 hops x 5 flits
     eq.run();
     EXPECT_EQ(mesh->flitHops(), 3u + 15u);
-    EXPECT_EQ(stats.counter("noc.packets"), 2u);
-    EXPECT_EQ(stats.counter("noc.packets.GetS"), 1u);
-    EXPECT_EQ(stats.counter("noc.packets.Data"), 1u);
+    EXPECT_EQ(mesh->packets(), 2u);
+    EXPECT_EQ(mesh->packets(MsgType::GetS), 1u);
+    EXPECT_EQ(mesh->packets(MsgType::Data), 1u);
+    // Every packet is counted under exactly one type.
+    std::uint64_t byType = 0;
+    for (std::size_t t = 0; t < static_cast<std::size_t>(MsgType::NumTypes);
+         ++t)
+        byType += mesh->packets(static_cast<MsgType>(t));
+    EXPECT_EQ(byType, mesh->packets());
 }
 
 TEST_F(MeshFixture, PointToPointOrderingHolds)
@@ -228,7 +232,7 @@ TEST_F(MeshFixture, ZeroDimensionIsFatal)
 {
     NocConfig bad;
     bad.width = 0;
-    EXPECT_THROW(Mesh(eq, bad, stats.scope("noc2")), FatalError);
+    EXPECT_THROW(Mesh(eq, bad), FatalError);
 }
 
 TEST_F(MeshFixture, OverLargeMeshIsFatal)
@@ -236,7 +240,7 @@ TEST_F(MeshFixture, OverLargeMeshIsFatal)
     NocConfig bad;
     bad.width = 17; // 272 nodes: past the route table's 256
     bad.height = 16;
-    EXPECT_THROW(Mesh(eq, bad, stats.scope("noc2")), FatalError);
+    EXPECT_THROW(Mesh(eq, bad), FatalError);
 }
 
 /**
@@ -250,10 +254,7 @@ TEST_F(MeshFixture, RouteTableMatchesManhattanOnEveryPair)
                         std::pair{5u, 3u}, std::pair{1u, 7u}}) {
         cfg.width = w;
         cfg.height = h;
-        mesh = std::make_unique<Mesh>(
-            eq, cfg,
-            stats.scope("noc" + std::to_string(w) + "x" +
-                        std::to_string(h)));
+        mesh = std::make_unique<Mesh>(eq, cfg);
         Tick arrival = 0;
         for (NodeId n = 0; n < w * h; ++n) {
             mesh->attach(n, Port::Bank,

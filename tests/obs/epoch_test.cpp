@@ -16,7 +16,6 @@
 #include "harness/sweep.hh"
 #include "obs/epoch.hh"
 #include "sim/event_queue.hh"
-#include "stats/stats.hh"
 
 namespace cbsim {
 namespace {
@@ -54,28 +53,29 @@ TEST(EventQueueEpochHook, OffByDefaultAndNeverFires)
 TEST(EpochSampler, RowsCarryWindowDeltas)
 {
     EventQueue eq;
-    StatsRegistry stats;
-    Counter llc0, llc1, flits, packets;
-    stats.scope("llc.0").add("accesses", llc0);
-    stats.scope("llc.1").add("accesses", llc1);
-    stats.scope("noc").add("flit_hops", flits);
-    stats.scope("noc").add("packets", packets);
-
+    std::uint64_t llc0 = 0, llc1 = 0, flits = 0, packets = 0;
     std::uint64_t blockedNow = 0;
-    EpochSampler sampler(stats, [&] { return blockedNow; });
+    EpochSampler sampler([&] {
+        EpochRow now;
+        now.llcAccesses = llc0 + llc1;
+        now.flitHops = flits;
+        now.packets = packets;
+        now.blockedCores = blockedNow;
+        return now;
+    });
     sampler.install(eq, 100);
 
     // Window 1: 3 LLC accesses (split across banks), 10 hops, 2 pkts.
     eq.schedule(10, [&] {
-        llc0.inc(2);
-        llc1.inc();
-        flits.inc(10);
-        packets.inc(2);
+        llc0 += 2;
+        llc1 += 1;
+        flits += 10;
+        packets += 2;
         blockedNow = 3;
     });
     // Window 2: 1 more access; blocked probe drops back to zero.
     eq.schedule(150, [&] {
-        llc0.inc();
+        llc0 += 1;
         blockedNow = 0;
     });
     eq.schedule(250, [] {});

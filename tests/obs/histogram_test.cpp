@@ -178,23 +178,5 @@ TEST(HistogramData, PercentileIsMonotoneInP)
     }
 }
 
-TEST(Histogram, LiveWrapperDelegatesToData)
-{
-    Histogram h;
-    h.sample(8);
-    h.sample(9);
-    EXPECT_EQ(h.data().count, 2u);
-    EXPECT_EQ(h.data().buckets[3], 2u); // 8,9 in [8,16)
-
-    Histogram other;
-    other.sample(100);
-    h.merge(other);
-    EXPECT_EQ(h.count(), 3u);
-    EXPECT_EQ(h.max(), 100u);
-
-    h.reset();
-    EXPECT_EQ(h.data(), HistogramData{});
-}
-
 } // namespace
 } // namespace cbsim

@@ -96,8 +96,8 @@ TEST_P(LockTest, SyncLatencyIsRecorded)
     contend(4, 5, &chip);
     const auto acq = static_cast<std::size_t>(SyncKind::Acquire);
     const auto rel = static_cast<std::size_t>(SyncKind::Release);
-    EXPECT_EQ(chip->syncStats().latency[acq].count(), 20u);
-    EXPECT_EQ(chip->syncStats().latency[rel].count(), 20u);
+    EXPECT_EQ(chip->syncStats().latency[acq].count, 20u);
+    EXPECT_EQ(chip->syncStats().latency[rel].count, 20u);
     EXPECT_GT(chip->syncStats().latency[acq].mean(), 0.0);
 }
 
