@@ -1,11 +1,14 @@
 #!/usr/bin/env sh
-# Build and run the sim/noc unit tests plus the robustness/soak tier
-# under AddressSanitizer + UndefinedBehaviorSanitizer, as a ctest
-# tier-2 entry (sanitize_sim_noc).
+# Build and run the sim/noc/mem/protocol unit tests plus the
+# robustness/soak tier under AddressSanitizer + UndefinedBehaviorSanitizer,
+# as a ctest tier-2 entry (sanitize_sim_noc).
 #
 # The allocation-free event path (sim/event.hh) manages object lifetimes
 # by hand (placement-new, manual relocation/destruction); this catches
 # use-after-move, buffer overruns, and alignment bugs mechanically. The
+# cache arrays (mem/cache_array.hh) keep raw, uninitialised line storage
+# behind a validity bitmap; mem_test and protocol_test run that storage
+# and the bitmap's shifts under both sanitizers. The
 # soak tier additionally drives the fault-injection recovery paths
 # (forced callback-directory evictions, delayed messages) under the
 # sanitizers, and the chaos tier (crash_safety_test) covers the
@@ -42,8 +45,8 @@ cmake -S "$src" -B "$bld" \
     exit 1
 }
 cmake --build "$bld" -j "$(nproc)" \
-      --target sim_test noc_test debug_test soak_test \
-               harness_test crash_safety_test \
+      --target sim_test noc_test mem_test protocol_test debug_test \
+               soak_test harness_test crash_safety_test \
       > "$bld.build.log" 2>&1 || {
     echo "sanitize_tests: build failed; see $bld.build.log" >&2
     tail -n 40 "$bld.build.log" >&2
@@ -56,6 +59,7 @@ export ASAN_OPTIONS UBSAN_OPTIONS
 
 status=0
 for bin in "$bld/tests/sim_test" "$bld/tests/noc_test" \
+           "$bld/tests/mem_test" "$bld/tests/protocol_test" \
            "$bld/tests/debug_test" "$bld/tests/soak_test" \
            "$bld/tests/harness_test" "$bld/tests/crash_safety_test"; do
     echo "sanitize_tests: running $bin"

@@ -24,13 +24,12 @@ using FenceCompletion = std::function<void()>;
 /**
  * Protocol-side of a core's private cache. One instance per core; the
  * core blocks on access() until onComplete fires, and on fences until
- * their completion fires.
+ * their completion fires. The mesh delivers its node's Port::Core
+ * messages to handleMessage().
  */
-class L1Controller
+class L1Controller : public MessageSink
 {
   public:
-    virtual ~L1Controller() = default;
-
     /** Issue a memory operation (at most one outstanding per core). */
     virtual void access(MemRequest req) = 0;
 
@@ -44,9 +43,6 @@ class L1Controller
     /** self-down fence: write-through all dirty data. No-op under MESI. */
     virtual void selfDowngrade(FenceCompletion done) = 0;
 
-    /** Network delivery for Port::Core messages at this node. */
-    virtual void handleMessage(const Message& msg) = 0;
-
     /**
      * Emit this controller's debug state (pending misses, transient
      * lines, ...) as one JSON value into @p w. Called only from
@@ -55,15 +51,13 @@ class L1Controller
     virtual void dumpDebug(JsonWriter& w) const;
 };
 
-/** Protocol-side of one LLC bank (home node for its address slice). */
-class LlcBank
+/**
+ * Protocol-side of one LLC bank (home node for its address slice). The
+ * mesh delivers its node's Port::Bank messages to handleMessage().
+ */
+class LlcBank : public MessageSink
 {
   public:
-    virtual ~LlcBank() = default;
-
-    /** Network delivery for Port::Bank messages at this node. */
-    virtual void handleMessage(const Message& msg) = 0;
-
     /** Forensic state dump; see L1Controller::dumpDebug. */
     virtual void dumpDebug(JsonWriter& w) const;
 };

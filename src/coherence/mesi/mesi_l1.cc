@@ -178,7 +178,7 @@ void
 MesiL1::evictFor(Addr addr)
 {
     auto* victim = array_.victim(addr);
-    if (victim->valid) {
+    if (array_.isValid(*victim)) {
         if (victim->state.state == MesiState::M) {
             writebacks_.inc();
             Message wb;
@@ -331,10 +331,9 @@ std::vector<std::pair<Addr, MesiState>>
 MesiL1::cachedLines() const
 {
     std::vector<std::pair<Addr, MesiState>> lines;
-    const_cast<CacheArray<LineInfo>&>(array_).forEachValid(
-        [&lines](const auto& line) {
-            lines.emplace_back(line.tag, line.state.state);
-        });
+    array_.forEachValid([&lines](const auto& line) {
+        lines.emplace_back(line.tag, line.state.state);
+    });
     return lines;
 }
 

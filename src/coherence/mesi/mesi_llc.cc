@@ -92,7 +92,7 @@ MesiLlcBank::fillLine(const Message& msg, Addr line_addr)
         return;
     }
     {
-        if (victim->valid) {
+        if (array_.isValid(*victim)) {
             // Inclusive eviction: recall L1 copies. Acks are not awaited;
             // stale InvAcks are ignored by handleInvAck.
             auto& dir = victim->state;

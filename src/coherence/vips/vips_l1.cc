@@ -215,7 +215,7 @@ VipsL1::handleMessage(const Message& msg)
         pendingFill_.reset();
 
         auto* victim = array_.victim(msg.addr);
-        if (victim->valid)
+        if (array_.isValid(*victim))
             flushLine(*victim);
         array_.install(*victim, msg.addr);
         accesses_.inc(); // fill write

@@ -91,7 +91,7 @@ VipsLlcBank::fillLine(const Message& msg, Addr line_addr)
         eq_.schedule(4, [this, msg, line_addr] { fillLine(msg, line_addr); });
         return;
     }
-    if (victim->valid)
+    if (array_.isValid(*victim))
         memory_.write(victim->tag); // writeback (write-through LLC: clean)
     array_.install(*victim, line_addr);
     accesses_.inc();

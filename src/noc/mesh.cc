@@ -24,7 +24,7 @@ Mesh::checked(const NocConfig& cfg)
 Mesh::Mesh(EventQueue& eq, const NocConfig& cfg)
     : eq_(eq), cfg_(checked(cfg)), nodes_(cfg_.nodes()),
       route_(std::size_t{nodes_} * nodes_), routers_(nodes_),
-      coreHandlers_(nodes_), bankHandlers_(nodes_)
+      sinks_(std::size_t{nodes_} * 2)
 {
     for (NodeId at = 0; at < nodes_; ++at) {
         for (NodeId dst = 0; dst < nodes_; ++dst) {
@@ -47,12 +47,10 @@ Mesh::Mesh(EventQueue& eq, const NocConfig& cfg)
 }
 
 void
-Mesh::attach(NodeId node, Port port, MessageHandler handler)
+Mesh::attach(NodeId node, Port port, MessageSink* sink)
 {
     CBSIM_ASSERT(node < cfg_.nodes(), "attach: node out of range");
-    auto& slot = port == Port::Core ? coreHandlers_[node]
-                                    : bankHandlers_[node];
-    slot = std::move(handler);
+    sinks_[node * 2 + static_cast<unsigned>(port)] = sink;
 }
 
 unsigned
@@ -153,20 +151,19 @@ Mesh::deliver(std::uint32_t slot)
 {
     Packet& p = pool_[slot];
     CBSIM_ASSERT(p.live, "Mesh: double delivery of packet slot ", slot);
-    // The handler may send, and a send may grow the pool: hand it a copy
+    // The sink may send, and a send may grow the pool: hand it a copy
     // and hold no reference into pool_ across the call.
     const Message msg = std::move(p.msg);
     p.live = false;
     free_.push_back(slot);
 
-    const auto& handler = msg.dstPort == Port::Core
-                              ? coreHandlers_[msg.dst]
-                              : bankHandlers_[msg.dst];
-    if (!handler) {
+    MessageSink* sink =
+        sinks_[msg.dst * 2 + static_cast<unsigned>(msg.dstPort)];
+    if (sink == nullptr) {
         panic("message delivered to unattached endpoint: ",
               msg.toString());
     }
-    handler(msg);
+    sink->handleMessage(msg);
 }
 
 void

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "noc/message.hh"
@@ -52,8 +51,15 @@ struct NocConfig
     unsigned nodes() const { return width * height; }
 };
 
-/** Receives messages delivered to an endpoint. */
-using MessageHandler = std::function<void(const Message&)>;
+/** An endpoint the mesh delivers messages to: an L1 or an LLC bank. */
+class MessageSink
+{
+  public:
+    virtual ~MessageSink() = default;
+
+    /** Handle @p msg, delivered to this endpoint's (node, port). */
+    virtual void handleMessage(const Message& msg) = 0;
+};
 
 /** The mesh network: one event per router hop on the chip's queue. */
 class Mesh
@@ -61,11 +67,11 @@ class Mesh
   public:
     Mesh(EventQueue& eq, const NocConfig& cfg);
 
-    /** Attach the handler for @p port of node @p node. */
-    void attach(NodeId node, Port port, MessageHandler handler);
+    /** Attach @p sink (not owned) as the endpoint @p port of @p node. */
+    void attach(NodeId node, Port port, MessageSink* sink);
 
     /**
-     * Inject @p msg at its source node; it is delivered to the handler of
+     * Inject @p msg at its source node; it is delivered to the sink of
      * (msg.dst, msg.dstPort) after routing latency + contention.
      */
     void send(Message msg);
@@ -165,7 +171,7 @@ class Mesh
 
     /** Route pool_[slot] one hop onward from router @p at. */
     void hop(std::uint32_t slot, NodeId at);
-    /** Free pool_[slot] and hand its message to the endpoint handler. */
+    /** Free pool_[slot] and hand its message to the endpoint's sink. */
     void deliver(std::uint32_t slot);
 
     EventQueue& eq_;
@@ -173,8 +179,9 @@ class Mesh
     unsigned nodes_;
     std::vector<Route> route_;
     std::vector<Router> routers_;
-    std::vector<MessageHandler> coreHandlers_;
-    std::vector<MessageHandler> bankHandlers_;
+    /** Endpoint of (node, port) at sinks_[node * 2 + port]; null until
+     *  attached. */
+    std::vector<MessageSink*> sinks_;
     std::vector<Packet> pool_;
     std::vector<std::uint32_t> free_;
     FaultInjector* faults_ = nullptr;

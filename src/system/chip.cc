@@ -57,14 +57,8 @@ Chip::Chip(const ChipConfig& cfg)
             banks_.push_back(std::move(bank));
         }
 
-        mesh_.attach(node, Port::Core,
-                     [l1 = l1s_.back().get()](const Message& m) {
-                         l1->handleMessage(m);
-                     });
-        mesh_.attach(node, Port::Bank,
-                     [bank = banks_.back().get()](const Message& m) {
-                         bank->handleMessage(m);
-                     });
+        mesh_.attach(node, Port::Core, l1s_.back().get());
+        mesh_.attach(node, Port::Bank, banks_.back().get());
 
         cores_.push_back(std::make_unique<Core>(
             i, eq_, *l1s_.back(), cfg_.backoff, syncStats_,
@@ -209,11 +203,15 @@ Chip::~Chip() = default;
 void
 Chip::setProgram(CoreId core, Program program)
 {
-    // Merge the thread's data symbols chip-wide; emitters register the
-    // same handle names on every thread, so first binding wins and a
-    // name already merged is a lookup that copies nothing.
-    for (const auto& [addr, name] : program.symbols())
-        symbols_.try_emplace(addr, name);
+    // Merge the thread's data symbols chip-wide, but only for their two
+    // readers: trace export and contention attribution. Emitters
+    // register the same handle names on every thread, so first binding
+    // wins and a name already merged is a lookup that copies nothing.
+    const ObsConfig& obs = cfg_.debug.obs;
+    if (obs.traceEnabled() || obs.attributionEnabled()) {
+        for (const auto& [addr, name] : program.symbols())
+            symbols_.try_emplace(addr, name);
+    }
     cores_.at(core)->setProgram(std::move(program));
 }
 

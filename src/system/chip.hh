@@ -137,6 +137,7 @@ class Chip
     /**
      * Data symbols merged from every loaded program (first binding
      * wins), resolved against contended line addresses after the run.
+     * Empty unless trace export or attribution is on.
      */
     std::map<Addr, std::string> symbols_;
 

@@ -4,10 +4,13 @@
  * self-invalidation/downgrade fences, page classification, blocking
  * callback reads and wake-ups, st_cb1/st_cb0 semantics, RMW held in the
  * callback directory, premature wake-up (Fig. 5), directory-eviction
- * liveness, and the 3-message value hand-off.
+ * liveness, and the 3-message value hand-off. One test drives a lone
+ * VIPS L1 against a recording bank to pin the fence's flush order.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "../support/chip_helpers.hh"
 
@@ -186,6 +189,100 @@ TEST_F(VipsFixture, PrivatePagesSurviveSelfInvalidation)
     chip->setProgram(0, a.assemble());
     chip->run();
     EXPECT_TRUE(vipsL1(*chip, 0).cached(0x90000));
+}
+
+/**
+ * Home-bank stand-in for a lone VIPS L1 on a one-node mesh: it answers
+ * every fill with Data and every write-through with an Ack, and records
+ * the write-throughs in the order they were sent.
+ */
+struct RecordingBank : MessageSink
+{
+    Mesh& mesh;
+    std::vector<Message> flushes;
+
+    explicit RecordingBank(Mesh& m) : mesh(m) {}
+
+    void
+    handleMessage(const Message& msg) override
+    {
+        Message rsp;
+        rsp.type = msg.type == MsgType::GetS ? MsgType::Data : MsgType::Ack;
+        if (msg.type == MsgType::WtFlush)
+            flushes.push_back(msg);
+        rsp.dst = msg.src;
+        rsp.dstPort = Port::Core;
+        rsp.addr = msg.addr;
+        rsp.txn = msg.txn;
+        mesh.send(rsp);
+    }
+};
+
+TEST(VipsL1Fence, SparseFenceFlushesInIndexOrderAndKeepsPrivateLines)
+{
+    EventQueue eq;
+    NocConfig noc;
+    noc.width = noc.height = 1;
+    Mesh mesh(eq, noc);
+    DataStore data;
+    PageClassifier classifier;
+    const CacheGeometry geom; // 32 KB, 4 ways: 128 sets, set = line % 128
+    VipsL1 l1(0, 0, eq, mesh, data, classifier, geom, 1, 1);
+    RecordingBank bank(mesh);
+    mesh.attach(0, Port::Core, &l1);
+    mesh.attach(0, Port::Bank, &bank);
+
+    // Stores in an order unrelated to the array index. Line k of set s
+    // is s + 128 k: a set stride is 8 KB, so every store has a page of
+    // its own.
+    auto lineIn = [](Addr set, Addr k) { return (set + 128 * k) * 64; };
+    const std::vector<Addr> stores = {
+        lineIn(97, 0), lineIn(3, 1), lineIn(120, 2), lineIn(3, 3),
+        lineIn(64, 4), lineIn(5, 5)};
+    // Stores 1, 2 and 4 hit pages two other cores already share; the
+    // other pages stay private to core 0.
+    for (std::size_t k : {1, 2, 4}) {
+        classifier.classify(stores[k], 1);
+        classifier.classify(stores[k], 2);
+    }
+    for (Addr addr : stores) {
+        MemRequest req;
+        req.op = MemOp::Store;
+        req.addr = addr + 8;
+        req.storeValue = addr;
+        req.onComplete = {[](void*, Word) {}, nullptr};
+        l1.access(req);
+        eq.run();
+    }
+    EXPECT_TRUE(bank.flushes.empty());
+
+    bool done = false;
+    l1.selfInvalidate([&done] { done = true; });
+    eq.run();
+    EXPECT_TRUE(done);
+
+    // Ascending array index: set 3 (way 0, then way 1), 5, 64, 97, 120.
+    const std::vector<Addr> expected = {lineIn(3, 1), lineIn(3, 3),
+                                        lineIn(5, 5), lineIn(64, 4),
+                                        lineIn(97, 0), lineIn(120, 2)};
+    std::vector<Addr> flushed;
+    for (const Message& m : bank.flushes) {
+        flushed.push_back(m.addr);
+        EXPECT_EQ(m.wordMask, 1u << 1);
+    }
+    EXPECT_EQ(flushed, expected);
+    for (std::size_t i = 1; i < bank.flushes.size(); ++i)
+        EXPECT_LT(bank.flushes[i - 1].txn, bank.flushes[i].txn);
+
+    // Shared-page lines are gone; private-page lines stay, now clean.
+    for (std::size_t k : {0, 3, 5}) {
+        const Addr addr = stores[k];
+        EXPECT_TRUE(l1.cached(addr)) << std::hex << addr;
+        EXPECT_EQ(l1.dirtyMask(addr), 0u);
+    }
+    for (std::size_t k : {1, 2, 4})
+        EXPECT_FALSE(l1.cached(stores[k])) << std::hex << stores[k];
+    EXPECT_EQ(l1.wtFlushes(), 6u);
 }
 
 TEST_F(VipsFixture, StCb1WakesExactlyOneWaiter)

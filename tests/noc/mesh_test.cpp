@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
+#include <functional>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -17,11 +19,32 @@
 namespace cbsim {
 namespace {
 
+/** Test endpoint: forwards each delivered message to a callable. */
+struct FnSink : MessageSink
+{
+    std::function<void(const Message&)> fn;
+
+    explicit FnSink(std::function<void(const Message&)> f)
+        : fn(std::move(f))
+    {
+    }
+
+    void handleMessage(const Message& msg) override { fn(msg); }
+};
+
 struct MeshFixture : ::testing::Test
 {
     EventQueue eq;
     NocConfig cfg;
+    std::deque<FnSink> sinks;
     std::unique_ptr<Mesh> mesh;
+
+    /** Attach @p fn as the endpoint (@p node, @p port) of the mesh. */
+    void
+    attach(NodeId node, Port port, std::function<void(const Message&)> fn)
+    {
+        mesh->attach(node, port, &sinks.emplace_back(std::move(fn)));
+    }
 
     void
     build(unsigned w = 8, unsigned h = 8)
@@ -57,7 +80,7 @@ TEST_F(MeshFixture, DeliveryLatencyMatchesModel)
 {
     build();
     Tick arrival = 0;
-    mesh->attach(63, Port::Bank, [&](const Message&) { arrival = eq.now(); });
+    attach(63, Port::Bank, [&](const Message&) { arrival = eq.now(); });
     mesh->send(msg(0, 63));
     eq.run();
     // 14 hops * 6 cycles, single-flit control message, no contention.
@@ -69,7 +92,7 @@ TEST_F(MeshFixture, DataMessagePaysSerialization)
 {
     build();
     Tick arrival = 0;
-    mesh->attach(1, Port::Bank, [&](const Message&) { arrival = eq.now(); });
+    attach(1, Port::Bank, [&](const Message&) { arrival = eq.now(); });
     mesh->send(msg(0, 1, MsgType::Data));
     eq.run();
     // 1 hop * 6 + (5 flits - 1) tail serialization.
@@ -80,7 +103,7 @@ TEST_F(MeshFixture, LocalDeliveryBypassesNetwork)
 {
     build();
     Tick arrival = 0;
-    mesh->attach(5, Port::Bank, [&](const Message&) { arrival = eq.now(); });
+    attach(5, Port::Bank, [&](const Message&) { arrival = eq.now(); });
     mesh->send(msg(5, 5));
     eq.run();
     EXPECT_EQ(arrival, cfg.localLatency);
@@ -90,7 +113,7 @@ TEST_F(MeshFixture, LocalDeliveryBypassesNetwork)
 TEST_F(MeshFixture, FlitHopAccounting)
 {
     build();
-    mesh->attach(3, Port::Bank, [](const Message&) {});
+    attach(3, Port::Bank, [](const Message&) {});
     mesh->send(msg(0, 3));                 // 3 hops x 1 flit
     mesh->send(msg(0, 3, MsgType::Data));  // 3 hops x 5 flits
     eq.run();
@@ -112,7 +135,7 @@ TEST_F(MeshFixture, PointToPointOrderingHolds)
     // message order (the MESI L1 relies on Data-before-Inv ordering).
     build();
     std::vector<std::uint64_t> order;
-    mesh->attach(10, Port::Core, [&](const Message& m) {
+    attach(10, Port::Core, [&](const Message& m) {
         order.push_back(m.txn);
     });
     for (std::uint64_t i = 0; i < 20; ++i) {
@@ -133,7 +156,7 @@ TEST_F(MeshFixture, ContentionDelaysSecondPacket)
 {
     build();
     std::vector<Tick> arrivals;
-    mesh->attach(1, Port::Bank,
+    attach(1, Port::Bank,
                  [&](const Message&) { arrivals.push_back(eq.now()); });
     // Two 5-flit data packets over the same link, injected together.
     mesh->send(msg(0, 1, MsgType::Data));
@@ -149,8 +172,8 @@ TEST_F(MeshFixture, CrossTrafficDoesNotInterfere)
 {
     build();
     Tick a = 0, b = 0;
-    mesh->attach(1, Port::Bank, [&](const Message&) { a = eq.now(); });
-    mesh->attach(15, Port::Bank, [&](const Message&) { b = eq.now(); });
+    attach(1, Port::Bank, [&](const Message&) { a = eq.now(); });
+    attach(15, Port::Bank, [&](const Message&) { b = eq.now(); });
     mesh->send(msg(0, 1));
     mesh->send(msg(8, 15)); // different row, disjoint links
     eq.run();
@@ -169,7 +192,7 @@ TEST_F(MeshFixture, SmallMeshWorks)
 {
     build(2, 2);
     Tick arrival = 0;
-    mesh->attach(3, Port::Bank, [&](const Message&) { arrival = eq.now(); });
+    attach(3, Port::Bank, [&](const Message&) { arrival = eq.now(); });
     mesh->send(msg(0, 3));
     eq.run();
     EXPECT_EQ(arrival, 2u * 6u);
@@ -178,7 +201,7 @@ TEST_F(MeshFixture, SmallMeshWorks)
 TEST_F(MeshFixture, InFlightPacketIsListedAtItsCurrentRouter)
 {
     build();
-    mesh->attach(63, Port::Bank, [](const Message&) {});
+    attach(63, Port::Bank, [](const Message&) {});
     Message m = msg(0, 63);
     m.txn = 42;
     mesh->send(m);
@@ -209,8 +232,8 @@ TEST_F(MeshFixture, HandlerMaySendWhileThePoolGrows)
     constexpr unsigned kBurst = 1000;
     unsigned arrived = 0;
     std::uint64_t seenAfterBurst = 0;
-    mesh->attach(9, Port::Core, [&](const Message&) { ++arrived; });
-    mesh->attach(5, Port::Bank, [&](const Message& trigger) {
+    attach(9, Port::Core, [&](const Message&) { ++arrived; });
+    attach(5, Port::Bank, [&](const Message& trigger) {
         for (unsigned i = 0; i < kBurst; ++i) {
             Message m = msg(5, 9);
             m.dstPort = Port::Core;
@@ -257,7 +280,7 @@ TEST_F(MeshFixture, RouteTableMatchesManhattanOnEveryPair)
         mesh = std::make_unique<Mesh>(eq, cfg);
         Tick arrival = 0;
         for (NodeId n = 0; n < w * h; ++n) {
-            mesh->attach(n, Port::Bank,
+            attach(n, Port::Bank,
                          [&](const Message&) { arrival = eq.now(); });
         }
         for (NodeId src = 0; src < w * h; ++src) {

@@ -189,6 +189,7 @@ TEST(TraceExporter, ParkAndWakeLandOnTheCbdirTracks)
     const std::string json =
         tracedChipJson(Technique::CbOne, [](CoreId c) {
             Assembler a;
+            a.dataSymbol("flag0", flag);
             a.movImm(1, flag);
             if (c == 0) {
                 a.label("spin");
@@ -206,6 +207,9 @@ TEST(TraceExporter, ParkAndWakeLandOnTheCbdirTracks)
     EXPECT_NE(json.find("\"park\""), std::string::npos);
     EXPECT_NE(json.find("\"wake\""), std::string::npos);
     EXPECT_NE(json.find("\"cbdir-blocked\""), std::string::npos);
+    // The programs' data symbols reach the exporter: the parked line
+    // is named, not shown in hex.
+    EXPECT_NE(json.find("\"flag0\""), std::string::npos);
 }
 
 } // namespace
