@@ -43,34 +43,36 @@ runHandoff(Technique tech)
     // write finds the consumer already waiting — the steady state the
     // paper's 5-vs-3 accounting describes).
     Assembler c;
+    const Label loop = c.newLabel();
+    const Label out = c.newLabel();
     c.movImm(1, kFlag);
     c.movImm(4, 0);       // last value seen
     c.movImm(5, kRounds); // final value
     switch (flavor) {
       case SyncFlavor::Mesi:
-        c.label("loop");
+        c.bind(loop);
         c.ld(2, 1).sync = true;
-        c.beq(2, 4, "loop"); // unchanged: spin locally
+        c.beq(2, 4, loop); // unchanged: spin locally
         c.mov(4, 2);
-        c.bne(4, 5, "loop");
+        c.bne(4, 5, loop);
         break;
       case SyncFlavor::VipsBackoff:
-        c.label("loop");
+        c.bind(loop);
         c.ldThrough(2, 1).spin = true;
-        c.beq(2, 4, "loop");
+        c.beq(2, 4, loop);
         c.mov(4, 2);
-        c.bne(4, 5, "loop");
+        c.bne(4, 5, loop);
         break;
       default:
         c.ldThrough(2, 1); // the one-time §3.3 guard
         c.mov(4, 2);
-        c.beq(4, 5, "out");
-        c.label("loop");
+        c.beq(4, 5, out);
+        c.bind(loop);
         c.ldCb(2, 1);
-        c.beq(2, 4, "loop"); // spurious wake: re-block
+        c.beq(2, 4, loop); // spurious wake: re-block
         c.mov(4, 2);
-        c.bne(4, 5, "loop");
-        c.label("out");
+        c.bne(4, 5, loop);
+        c.bind(out);
         break;
     }
     chip.setProgram(1, c.assemble());

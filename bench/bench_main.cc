@@ -336,7 +336,9 @@ benchMain(int argc, char** argv)
     if (dbg.forensicDir.empty())
         dbg.forensicDir = mode().outDir;
     // Bench artifacts always carry the contention[] attribution table
-    // (schema v4); the bounded shards keep the cost negligible.
+    // (schema v4). It is not free: on a 4-vCPU Xeon, a full-size
+    // `--jobs 1 --only fig21_apps` sweep took 25.3 s with it and 21.5 s
+    // without (about 15%). ROADMAP.md item 2 plans the cheaper shards.
     dbg.obs.attribution = true;
 
     // Sweep-level sizing annotations folded into every cell's journal

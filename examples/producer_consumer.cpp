@@ -49,6 +49,7 @@ runPipeline(Technique tech, unsigned stages, unsigned items)
         chip.setProgram(t, a.assemble());
     }
     layout.apply(chip.dataStore());
+    chip.setLineNames(layout.lineNames());
     RunResult r = chip.run();
 
     // Sanity: every stage processed every item.

@@ -38,10 +38,11 @@ main()
     // 3. Write one mini-ISA program per core with the sync emitters.
     for (CoreId t = 0; t < cores; ++t) {
         Assembler a;
+        const Label loop = a.newLabel();
         a.movImm(2, counter);
         a.movImm(5, 0);
         a.movImm(6, iters);
-        a.label("loop");
+        a.bind(loop);
         a.workImm(200 + 37 * t); // "compute"
         emitAcquire(a, lock, SyncFlavor::CbOne, t);
         a.ld(4, 2); // critical section: counter++
@@ -49,11 +50,12 @@ main()
         a.st(4, 2);
         emitRelease(a, lock, SyncFlavor::CbOne, t);
         a.addImm(5, 5, 1);
-        a.bne(5, 6, "loop");
+        a.bne(5, 6, loop);
         emitBarrier(a, barrier, SyncFlavor::CbOne, t);
         chip.setProgram(t, a.assemble());
     }
     layout.apply(chip.dataStore());
+    chip.setLineNames(layout.lineNames()); // "lock0" in traces, not hex
 
     // 4. Run and inspect.
     RunResult r = chip.run();

@@ -9,6 +9,8 @@
 #   2. It carries the cbsim-trace-v1 schema tag.
 #   3. It holds at least one callback-directory `park` instant and one
 #      `wake` instant (ph "i").
+#   4. Its contended-line slices carry the layout's line names
+#      (`lock0`, `barrier0.wake.3`), not only hex addresses.
 #
 # Usage: check_trace_recipe.sh <quickstart-binary> <scratch-dir>
 
@@ -51,6 +53,13 @@ for name in ("park", "wake"):
         errors.append(f"no '{name}' instant in the trace")
     else:
         print(f"check_trace_recipe: {n} '{name}' instants")
+named = [e.get("name") for e in doc.get("traceEvents", [])
+         if e.get("cat") == "contention"
+         and not str(e.get("name", "")).startswith("0x")]
+if not named:
+    errors.append("no contended-line slice carries a line name")
+else:
+    print(f"check_trace_recipe: {len(named)} named contended-line events")
 for e in errors:
     print(f"check_trace_recipe: {path}: {e}", file=sys.stderr)
 sys.exit(1 if errors else 0)

@@ -8,7 +8,10 @@
 # use-after-move, buffer overruns, and alignment bugs mechanically. The
 # cache arrays (mem/cache_array.hh) keep raw, uninitialised line storage
 # behind a validity bitmap; mem_test and protocol_test run that storage
-# and the bitmap's shifts under both sanitizers. The
+# and the bitmap's shifts under both sanitizers. isa_test and
+# sync_test run the assembler's label fixups (label ids indexed into
+# the bound-position table at assemble time) and the layout's
+# line-name table that the sync builders fill. The
 # soak tier additionally drives the fault-injection recovery paths
 # (forced callback-directory evictions, delayed messages) under the
 # sanitizers, and the chaos tier (crash_safety_test) covers the
@@ -46,7 +49,8 @@ cmake -S "$src" -B "$bld" \
 }
 cmake --build "$bld" -j "$(nproc)" \
       --target sim_test noc_test mem_test protocol_test debug_test \
-               soak_test harness_test crash_safety_test \
+               soak_test harness_test crash_safety_test isa_test \
+               sync_test \
       > "$bld.build.log" 2>&1 || {
     echo "sanitize_tests: build failed; see $bld.build.log" >&2
     tail -n 40 "$bld.build.log" >&2
@@ -61,7 +65,8 @@ status=0
 for bin in "$bld/tests/sim_test" "$bld/tests/noc_test" \
            "$bld/tests/mem_test" "$bld/tests/protocol_test" \
            "$bld/tests/debug_test" "$bld/tests/soak_test" \
-           "$bld/tests/harness_test" "$bld/tests/crash_safety_test"; do
+           "$bld/tests/harness_test" "$bld/tests/crash_safety_test" \
+           "$bld/tests/isa_test" "$bld/tests/sync_test"; do
     echo "sanitize_tests: running $bin"
     "$bin" || status=1
 done

@@ -10,7 +10,8 @@ PageClass
 PageClassifier::classify(Addr addr, CoreId core)
 {
     const Addr page = AddrLayout::pageNumber(addr);
-    auto [it, inserted] = pages_.emplace(page, PageInfo{});
+    // try_emplace builds no node when the page is already known.
+    auto [it, inserted] = pages_.try_emplace(page);
     PageInfo& info = it->second;
     if (inserted) {
         info.owner = core;

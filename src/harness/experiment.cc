@@ -5,6 +5,20 @@
 
 namespace cbsim {
 
+namespace {
+
+/** Load @p w's initial memory, line names and programs onto @p chip. */
+void
+loadWorkload(Chip& chip, const WorkloadBuild& w)
+{
+    w.layout.apply(chip.dataStore());
+    chip.setLineNames(w.layout.lineNames());
+    for (CoreId t = 0; t < w.programs.size(); ++t)
+        chip.setProgram(t, w.programs[t]);
+}
+
+} // namespace
+
 ExperimentResult
 finishExperiment(Chip& chip, const WorkloadBuild& w, bool check_guards)
 {
@@ -37,9 +51,7 @@ runExperiment(const Profile& profile, Technique technique, unsigned cores,
         buildWorkload(profile, cores, flavor, choice.lock, choice.barrier);
 
     Chip chip(cfg);
-    w.layout.apply(chip.dataStore());
-    for (CoreId t = 0; t < cores; ++t)
-        chip.setProgram(t, w.programs[t]);
+    loadWorkload(chip, w);
 
     const bool check = profile.lockedSharedData &&
                        profile.lockAcqPerPhase > 0;
@@ -132,9 +144,7 @@ runSyncMicro(SyncMicro micro, Technique technique, unsigned cores,
     }
 
     Chip chip(cfg);
-    w.layout.apply(chip.dataStore());
-    for (CoreId t = 0; t < cores; ++t)
-        chip.setProgram(t, w.programs[t]);
+    loadWorkload(chip, w);
     return finishExperiment(chip, w, is_lock);
 }
 

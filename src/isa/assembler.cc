@@ -1,5 +1,6 @@
 #include "isa/assembler.hh"
 
+#include <limits>
 #include <sstream>
 
 #include "sim/log.hh"
@@ -15,33 +16,34 @@ Program::listing() const
     return os.str();
 }
 
-const std::map<Addr, std::string>&
-Program::symbols() const
+namespace {
+
+/** @p off as Instruction::offset; fatal when it does not fit. */
+std::int32_t
+narrowOffset(std::int64_t off)
 {
-    static const std::map<Addr, std::string> none;
-    return body_ ? body_->symbols : none;
+    if (off < std::numeric_limits<std::int32_t>::min() ||
+        off > std::numeric_limits<std::int32_t>::max())
+        fatal("memory offset ", off, " is outside the int32_t range");
+    return static_cast<std::int32_t>(off);
+}
+
+} // namespace
+
+Label
+Assembler::newLabel()
+{
+    labels_.push_back(kUnbound);
+    return Label{static_cast<std::uint32_t>(labels_.size() - 1)};
 }
 
 void
-Assembler::label(const std::string& name)
+Assembler::bind(Label l)
 {
-    auto [it, inserted] = labels_.emplace(name, code_.size());
-    (void)it;
-    if (!inserted)
-        fatal("duplicate label: ", name);
-}
-
-void
-Assembler::dataSymbol(const std::string& name, Addr addr)
-{
-    // First binding wins; a repeat is a lookup that copies nothing.
-    symbols_.try_emplace(addr, name);
-}
-
-std::string
-Assembler::uniqueLabel(const char* stem) const
-{
-    return std::string(stem) + "_" + std::to_string(code_.size());
+    CBSIM_ASSERT(l.id < labels_.size(), "label of another assembler");
+    if (labels_[l.id] != kUnbound)
+        fatal("label ", l.id, " bound twice");
+    labels_[l.id] = code_.size();
 }
 
 Instruction&
@@ -121,48 +123,50 @@ Assembler::notOp(Reg rd, Reg rs1)
 }
 
 Instruction&
-Assembler::branch(Opcode op, Reg rs1, Reg rs2, const std::string& target)
+Assembler::branch(Opcode op, Reg rs1, Reg rs2, Label target)
 {
+    CBSIM_ASSERT(target.id < labels_.size(), "label of another assembler");
     Instruction i;
     i.op = op;
     i.rs1 = rs1;
     i.rs2 = rs2;
-    fixups_.emplace_back(code_.size(), target);
+    i.imm = target.id;
+    fixups_.push_back(code_.size());
     return emit(i);
 }
 
 Instruction&
-Assembler::beq(Reg rs1, Reg rs2, const std::string& target)
+Assembler::beq(Reg rs1, Reg rs2, Label target)
 {
     return branch(Opcode::Beq, rs1, rs2, target);
 }
 
 Instruction&
-Assembler::bne(Reg rs1, Reg rs2, const std::string& target)
+Assembler::bne(Reg rs1, Reg rs2, Label target)
 {
     return branch(Opcode::Bne, rs1, rs2, target);
 }
 
 Instruction&
-Assembler::blt(Reg rs1, Reg rs2, const std::string& target)
+Assembler::blt(Reg rs1, Reg rs2, Label target)
 {
     return branch(Opcode::Blt, rs1, rs2, target);
 }
 
 Instruction&
-Assembler::beqz(Reg rs1, const std::string& target)
+Assembler::beqz(Reg rs1, Label target)
 {
     return branch(Opcode::Beqz, rs1, 0, target);
 }
 
 Instruction&
-Assembler::bnez(Reg rs1, const std::string& target)
+Assembler::bnez(Reg rs1, Label target)
 {
     return branch(Opcode::Bnez, rs1, 0, target);
 }
 
 Instruction&
-Assembler::jump(const std::string& target)
+Assembler::jump(Label target)
 {
     return branch(Opcode::Jump, 0, 0, target);
 }
@@ -221,7 +225,7 @@ Assembler::ld(Reg rd, Reg base, std::int64_t off)
     i.op = Opcode::Ld;
     i.rd = rd;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     return emit(i);
 }
 
@@ -232,7 +236,7 @@ Assembler::st(Reg rs, Reg base, std::int64_t off)
     i.op = Opcode::St;
     i.rs1 = rs;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     return emit(i);
 }
 
@@ -244,7 +248,7 @@ Assembler::stImm(std::uint64_t value, Reg base, std::int64_t off)
     i.useImm = true;
     i.imm = value;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     return emit(i);
 }
 
@@ -255,7 +259,7 @@ Assembler::ldThrough(Reg rd, Reg base, std::int64_t off)
     i.op = Opcode::LdThrough;
     i.rd = rd;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     i.sync = true;
     return emit(i);
 }
@@ -267,7 +271,7 @@ Assembler::ldCb(Reg rd, Reg base, std::int64_t off)
     i.op = Opcode::LdCb;
     i.rd = rd;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     i.sync = true;
     return emit(i);
 }
@@ -279,7 +283,7 @@ Assembler::stThrough(Reg rs, Reg base, std::int64_t off)
     i.op = Opcode::StThrough;
     i.rs1 = rs;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     i.sync = true;
     return emit(i);
 }
@@ -301,7 +305,7 @@ Assembler::stCb1Imm(std::uint64_t v, Reg base, std::int64_t off)
     i.useImm = true;
     i.imm = v;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     i.sync = true;
     return emit(i);
 }
@@ -314,7 +318,7 @@ Assembler::stCb0Imm(std::uint64_t v, Reg base, std::int64_t off)
     i.useImm = true;
     i.imm = v;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     i.sync = true;
     return emit(i);
 }
@@ -328,7 +332,7 @@ Assembler::atomic(Reg rd, Reg base, std::int64_t off, AtomicFunc func,
     i.op = Opcode::Atomic;
     i.rd = rd;
     i.addrReg = base;
-    i.offset = off;
+    i.offset = narrowOffset(off);
     i.func = func;
     i.useImm = true;
     i.imm = operand;
@@ -370,15 +374,17 @@ Assembler::selfDown()
 Program
 Assembler::assemble()
 {
-    for (const auto& [index, name] : fixups_) {
-        auto it = labels_.find(name);
-        if (it == labels_.end())
-            fatal("undefined label: ", name);
-        code_[index].imm = it->second;
+    for (const std::size_t index : fixups_) {
+        Instruction& ins = code_[index];
+        const std::uint64_t target = labels_[ins.imm];
+        if (target == kUnbound)
+            fatal("branch at ", index, " to label ", ins.imm,
+                  ", which is never bound");
+        ins.imm = target;
     }
     if (code_.empty() || code_.back().op != Opcode::Done)
         done();
-    return Program(std::move(code_), std::move(symbols_));
+    return Program(std::move(code_));
 }
 
 } // namespace cbsim

@@ -11,10 +11,8 @@
 #define CBSIM_ISA_ASSEMBLER_HH
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "isa/instruction.hh"
@@ -25,20 +23,19 @@ namespace cbsim {
 /**
  * An immutable, fully-resolved instruction sequence for one thread.
  *
- * The code and symbols live in shared immutable storage, so copying a
- * Program (Chip::setProgram takes one by value) bumps a reference
- * count instead of duplicating thousands of instructions; every copy
- * reads the same instructions at the same addresses.
+ * The code lives in shared immutable storage, so copying a Program
+ * (Chip::setProgram takes one by value) bumps a reference count instead
+ * of duplicating thousands of instructions; every copy reads the same
+ * instructions at the same addresses.
  */
 class Program
 {
   public:
     Program() = default;
-    explicit Program(std::vector<Instruction> code,
-                     std::map<Addr, std::string> symbols = {})
-        : body_(std::make_shared<const Body>(
-              Body{std::move(code), std::move(symbols)})),
-          code_(body_->code.data()), size_(body_->code.size())
+    explicit Program(std::vector<Instruction> code)
+        : body_(std::make_shared<const std::vector<Instruction>>(
+              std::move(code))),
+          code_(body_->data()), size_(body_->size())
     {
     }
 
@@ -60,30 +57,26 @@ class Program
     /** Disassembly listing (for debugging and docs). */
     std::string listing() const;
 
-    /**
-     * Data symbols declared via Assembler::dataSymbol, address-ordered.
-     * Attribution (src/obs/attribution.hh) resolves contended line
-     * addresses against this map so reports print "lock0" /
-     * "barrier0.counter" instead of raw hex.
-     */
-    const std::map<Addr, std::string>& symbols() const;
-
   private:
-    struct Body
-    {
-        std::vector<Instruction> code;
-        std::map<Addr, std::string> symbols;
-    };
-
-    std::shared_ptr<const Body> body_;
-    // body_->code's storage, cached so Core::step's fetch is one load
-    // away from the Program rather than two.
+    std::shared_ptr<const std::vector<Instruction>> body_;
+    // body_'s storage, cached so Core::step's fetch is one load away
+    // from the Program rather than two.
     const Instruction* code_ = nullptr;
     std::size_t size_ = 0;
 };
 
 /**
- * Builder that emits instructions and resolves textual labels into
+ * A branch target within one Assembler. Made by Assembler::newLabel,
+ * placed by Assembler::bind, and resolved to an instruction index by
+ * Assembler::assemble.
+ */
+struct Label
+{
+    std::uint32_t id = 0;
+};
+
+/**
+ * Builder that emits instructions and resolves label handles into
  * branch-target immediates at assemble() time.
  *
  * Every emitter returns a reference to the emitted instruction so call
@@ -95,27 +88,14 @@ class Program
 class Assembler
 {
   public:
-    /** Bind @p name to the next emitted instruction's address. */
-    void label(const std::string& name);
+    /** A fresh, unbound label. */
+    Label newLabel();
 
     /**
-     * Bind @p name to data address @p addr in the emitted Program's
-     * symbol table. First binding wins; an address may carry only one
-     * name. The sync emitters name a handle's addresses on its first
-     * emission into this assembler and skip the names on later
-     * episodes (see hasDataSymbol).
+     * Bind @p l to the next emitted instruction's index. Binding a
+     * label twice is fatal.
      */
-    void dataSymbol(const std::string& name, Addr addr);
-
-    /** True once some name is bound to data address @p addr. */
-    bool hasDataSymbol(Addr addr) const { return symbols_.count(addr) != 0; }
-
-    /**
-     * A label unique within this assembler, spelled "<stem>_N" with N
-     * the next instruction's index. The sync emitters name each
-     * episode's branch targets with it, so episodes never collide.
-     */
-    std::string uniqueLabel(const char* stem) const;
+    void bind(Label l);
 
     // --- ALU / control -------------------------------------------------
     Instruction& movImm(Reg rd, std::uint64_t imm);
@@ -124,12 +104,12 @@ class Assembler
     Instruction& addImm(Reg rd, Reg rs1, std::uint64_t imm);
     Instruction& sub(Reg rd, Reg rs1, Reg rs2);
     Instruction& notOp(Reg rd, Reg rs1);
-    Instruction& beq(Reg rs1, Reg rs2, const std::string& target);
-    Instruction& bne(Reg rs1, Reg rs2, const std::string& target);
-    Instruction& blt(Reg rs1, Reg rs2, const std::string& target);
-    Instruction& beqz(Reg rs1, const std::string& target);
-    Instruction& bnez(Reg rs1, const std::string& target);
-    Instruction& jump(const std::string& target);
+    Instruction& beq(Reg rs1, Reg rs2, Label target);
+    Instruction& bne(Reg rs1, Reg rs2, Label target);
+    Instruction& blt(Reg rs1, Reg rs2, Label target);
+    Instruction& beqz(Reg rs1, Label target);
+    Instruction& bnez(Reg rs1, Label target);
+    Instruction& jump(Label target);
     Instruction& workImm(std::uint64_t cycles);
     Instruction& workReg(Reg cycles_reg);
     Instruction& recordStart(SyncKind kind);
@@ -137,6 +117,8 @@ class Assembler
     Instruction& done();
 
     // --- Memory ---------------------------------------------------------
+    // Offsets outside the int32_t range of Instruction::offset are fatal.
+
     /** DRF load: rd = mem[base + off]. */
     Instruction& ld(Reg rd, Reg base, std::int64_t off = 0);
     /** DRF store: mem[base + off] = rs. */
@@ -183,18 +165,24 @@ class Assembler
     /** Number of instructions emitted so far. */
     std::size_t size() const { return code_.size(); }
 
-    /** Resolve labels and produce the Program; fatal on undefined label. */
+    /**
+     * Resolve labels and produce the Program; fatal if a branch targets
+     * a label that was never bound.
+     */
     Program assemble();
 
   private:
     Instruction& emit(Instruction ins);
-    Instruction& branch(Opcode op, Reg rs1, Reg rs2,
-                        const std::string& target);
+    Instruction& branch(Opcode op, Reg rs1, Reg rs2, Label target);
+
+    /** Marks a label in labels_ that is not yet bound. */
+    static constexpr std::uint64_t kUnbound = ~std::uint64_t{0};
 
     std::vector<Instruction> code_;
-    std::unordered_map<std::string, std::uint64_t> labels_;
-    std::vector<std::pair<std::size_t, std::string>> fixups_;
-    std::map<Addr, std::string> symbols_;
+    /** Per label id: the index it is bound to, or kUnbound. */
+    std::vector<std::uint64_t> labels_;
+    /** Branches whose imm holds a label id until assemble(). */
+    std::vector<std::size_t> fixups_;
 };
 
 } // namespace cbsim

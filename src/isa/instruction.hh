@@ -100,36 +100,46 @@ isMemory(Opcode op)
 
 /**
  * One decoded instruction. A flat POD keeps the interpreter simple; not
- * every field is meaningful for every opcode.
+ * every field is meaningful for every opcode. The fields are packed into
+ * 32 bytes (the 64-bit immediates first, flags as 1-bit fields) so two
+ * instructions share a cache line: programs run to thousands of mostly
+ * straight-line instructions per thread.
  */
 struct Instruction
 {
+    std::uint64_t imm = 0;     ///< immediate / resolved branch target / cycles
+    std::uint64_t compare = 0; ///< atomic T&S "free" value
+
+    /**
+     * Memory addressing: ea = regs[addrReg] + offset. The emitters take
+     * 64-bit offsets and reject any outside the int32_t range.
+     */
+    std::int32_t offset = 0;
+
     Opcode op = Opcode::Done;
     Reg rd = 0;   ///< destination register
     Reg rs1 = 0;  ///< first source
     Reg rs2 = 0;  ///< second source
-    std::uint64_t imm = 0; ///< immediate / resolved branch target / cycles
-
-    // Memory addressing: ea = regs[addrReg] + offset.
     Reg addrReg = 0;
-    std::int64_t offset = 0;
-
-    bool useImm = false; ///< store value / atomic operand comes from imm
 
     // Atomic payload.
     AtomicFunc func = AtomicFunc::None;
     WakePolicy wake = WakePolicy::None;
-    bool ldCb = false;      ///< atomic's read half is a callback read
-    std::uint64_t compare = 0; ///< T&S "free" value
 
     // Instrumentation.
-    bool sync = false;      ///< LLC access attribution
-    bool spin = false;      ///< back-off applies to consecutive re-issues
     SyncKind record = SyncKind::None;
-    bool recordStart = false;
+
+    bool useImm : 1 = false;      ///< store value / atomic operand is imm
+    bool ldCb : 1 = false;        ///< atomic's read half is a callback read
+    bool sync : 1 = false;        ///< LLC access attribution
+    bool spin : 1 = false;        ///< back-off applies to re-issues
+    bool recordStart : 1 = false; ///< Record marks a region's start
 
     std::string toString() const;
 };
+
+static_assert(sizeof(Instruction) == 32,
+              "Instruction must stay 32 bytes: two per cache line");
 
 } // namespace cbsim
 

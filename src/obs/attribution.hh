@@ -9,7 +9,8 @@
  * parks, wakes, wake-evictions and park-duration histograms. Components
  * each own an AttributionTable *shard* (handed out by Chip); Chip folds
  * the shards into one per-line map after the run and attaches the top-N
- * rows — tagged with assembler symbols when the address is labeled — to
+ * rows — tagged with the workload's line names (SyncLayout::lineNames)
+ * when the address is named — to
  * RunResult::contention (schema v4).
  *
  * Determinism contract: a shard is bounded (kDefaultCapacity rows).

@@ -90,8 +90,9 @@ class TraceExporter
     }
 
     /**
-     * Data symbols for naming per-line tracks ("lock0" instead of hex);
-     * must outlive the exporter. Null keeps the hex fallback.
+     * Line names (SyncLayout::lineNames) for per-line tracks ("lock0"
+     * instead of hex); must outlive the exporter. Null keeps the hex
+     * fallback.
      */
     void
     setSymbols(const std::map<Addr, std::string>* symbols)

@@ -45,11 +45,11 @@ emitRacyStoreReg(Assembler& a, SyncFlavor flavor, Reg src, Reg base,
 void
 emitSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base)
 {
-    const auto spn = a.uniqueLabel("spn");
-    const auto out = a.uniqueLabel("out");
+    const Label spn = a.newLabel();
+    const Label out = a.newLabel();
     switch (flavor) {
       case SyncFlavor::Mesi: {
-        a.label(spn);
+        a.bind(spn);
         auto& spin_ld = a.ld(sreg::val, base);
         spin_ld.sync = true;
         spin_ld.spin = true;
@@ -57,7 +57,7 @@ emitSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base)
         break;
       }
       case SyncFlavor::VipsBackoff:
-        a.label(spn);
+        a.bind(spn);
         a.ldThrough(sreg::val, base).spin = true;
         a.bnez(sreg::val, spn);
         break;
@@ -65,10 +65,10 @@ emitSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base)
       case SyncFlavor::CbOne:
         a.ldThrough(sreg::val, base);
         a.beqz(sreg::val, out);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, base);
         a.bnez(sreg::val, spn);
-        a.label(out);
+        a.bind(out);
         break;
     }
 }
@@ -77,11 +77,11 @@ emitSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base)
 void
 emitSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base, Reg want)
 {
-    const auto spn = a.uniqueLabel("spn");
-    const auto out = a.uniqueLabel("out");
+    const Label spn = a.newLabel();
+    const Label out = a.newLabel();
     switch (flavor) {
       case SyncFlavor::Mesi: {
-        a.label(spn);
+        a.bind(spn);
         auto& spin_ld = a.ld(sreg::val, base);
         spin_ld.sync = true;
         spin_ld.spin = true;
@@ -89,7 +89,7 @@ emitSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base, Reg want)
         break;
       }
       case SyncFlavor::VipsBackoff:
-        a.label(spn);
+        a.bind(spn);
         a.ldThrough(sreg::val, base).spin = true;
         a.bne(sreg::val, want, spn);
         break;
@@ -98,10 +98,10 @@ emitSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base, Reg want)
         // Fig. 15/17: guard ld_through, then the ld_cb spin loop.
         a.ldThrough(sreg::val, base);
         a.beq(sreg::val, want, out);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, base);
         a.bne(sreg::val, want, spn);
-        a.label(out);
+        a.bind(out);
         break;
     }
 }
@@ -121,9 +121,9 @@ emitSrBarrier(Assembler& a, const BarrierHandle& b, SyncFlavor flavor,
     a.notOp(sreg::sense, sreg::sense);
     a.st(sreg::sense, sreg::tmp, 0);
 
-    const auto last = a.uniqueLabel("last");
-    const auto bcast = a.uniqueLabel("bcast");
-    const auto end = a.uniqueLabel("end");
+    const Label last = a.newLabel();
+    const Label bcast = a.newLabel();
+    const Label end = a.newLabel();
 
     if (b.atomicCounter) {
         // Fig. 14: a single fetch&decrement on the counter.
@@ -150,7 +150,7 @@ emitSrBarrier(Assembler& a, const BarrierHandle& b, SyncFlavor flavor,
     emitSpinUntilEqual(a, flavor, sreg::addr, sreg::sense);
     a.jump(end);
 
-    a.label(last);
+    a.bind(last);
     // Reset the counter for the next episode, then flip the sense.
     a.movImm(sreg::addr, b.counter);
     if (b.atomicCounter) {
@@ -160,13 +160,13 @@ emitSrBarrier(Assembler& a, const BarrierHandle& b, SyncFlavor flavor,
         a.st(sreg::val, sreg::addr, 0);
         emitRelease(a, b.counterLock, flavor, tid, /*record=*/false);
     }
-    a.label(bcast);
+    a.bind(bcast);
     a.movImm(sreg::addr, b.senseWord);
     // Barrier release is a broadcast: st_through/st_cbA in both callback
     // flavours (Fig. 15).
     emitRacyStoreReg(a, flavor, sreg::sense, sreg::addr);
 
-    a.label(end);
+    a.bind(end);
     if (fenced(flavor))
         a.selfInvl();
     if (record)
@@ -241,20 +241,26 @@ emitTreeBarrier(Assembler& a, const BarrierHandle& b, SyncFlavor flavor,
 
 } // namespace
 
+namespace {
+
 BarrierHandle
-makeSrBarrier(SyncLayout& layout, unsigned num_threads,
-              LockAlgo counter_lock_algo)
+allocSrBarrier(SyncLayout& layout, unsigned num_threads,
+               LockAlgo counter_lock_algo, bool atomic_counter)
 {
     BarrierHandle b;
     b.algo = BarrierAlgo::SenseReversing;
     b.numThreads = num_threads;
-    b.name = layout.autoName("barrier");
+    b.atomicCounter = atomic_counter;
+    const std::string name = layout.autoName("barrier");
     b.counter = layout.allocLine();
     b.senseWord = layout.allocLine();
     layout.init(b.counter, num_threads);
     layout.init(b.senseWord, 0);
-    b.counterLock = makeLock(layout, counter_lock_algo, num_threads);
-    b.counterLock.name = b.name + ".lock";
+    layout.nameLine(b.counter, name + ".counter");
+    layout.nameLine(b.senseWord, name + ".sense");
+    b.counterLock =
+        makeLock(layout, counter_lock_algo, num_threads,
+                 atomic_counter ? std::string() : name + ".lock");
     b.localSense.reserve(num_threads);
     for (CoreId t = 0; t < num_threads; ++t) {
         const Addr ls = layout.allocPrivateLine(t);
@@ -264,13 +270,20 @@ makeSrBarrier(SyncLayout& layout, unsigned num_threads,
     return b;
 }
 
+} // namespace
+
+BarrierHandle
+makeSrBarrier(SyncLayout& layout, unsigned num_threads,
+              LockAlgo counter_lock_algo)
+{
+    return allocSrBarrier(layout, num_threads, counter_lock_algo, false);
+}
+
 BarrierHandle
 makeSrBarrierAtomic(SyncLayout& layout, unsigned num_threads)
 {
-    BarrierHandle b = makeSrBarrier(layout, num_threads,
-                                    LockAlgo::TestAndTestAndSet);
-    b.atomicCounter = true;
-    return b;
+    return allocSrBarrier(layout, num_threads, LockAlgo::TestAndTestAndSet,
+                          true);
 }
 
 BarrierHandle
@@ -279,7 +292,7 @@ makeTreeBarrier(SyncLayout& layout, unsigned num_threads)
     BarrierHandle b;
     b.algo = BarrierAlgo::TreeSenseReversing;
     b.numThreads = num_threads;
-    b.name = layout.autoName("barrier");
+    const std::string name = layout.autoName("barrier");
     for (CoreId t = 0; t < num_threads; ++t) {
         const unsigned c0 = 2 * t + 1;
         const unsigned c1 = 2 * t + 2;
@@ -289,6 +302,10 @@ makeTreeBarrier(SyncLayout& layout, unsigned num_threads)
         layout.init(b.childNotReady0.back(), c0 < num_threads ? 1 : 0);
         layout.init(b.childNotReady1.back(), c1 < num_threads ? 1 : 0);
         layout.init(b.wakeSense.back(), 0);
+        const std::string n = std::to_string(t);
+        layout.nameLine(b.childNotReady0.back(), name + ".cnr0." + n);
+        layout.nameLine(b.childNotReady1.back(), name + ".cnr1." + n);
+        layout.nameLine(b.wakeSense.back(), name + ".wake." + n);
         const Addr ls = layout.allocPrivateLine(t);
         layout.init(ls, 1); // first wake-up wave carries sense 1
         b.localSense.push_back(ls);
@@ -296,43 +313,10 @@ makeTreeBarrier(SyncLayout& layout, unsigned num_threads)
     return b;
 }
 
-namespace {
-
-/**
- * Name the barrier's shared lines in @p a on its first emission there.
- * Each address belongs to exactly one handle, so once the first line
- * is named every later name would lose to its first binding anyway.
- */
-void
-registerBarrierSymbols(Assembler& a, const BarrierHandle& barrier)
-{
-    if (barrier.name.empty())
-        return;
-    if (barrier.algo == BarrierAlgo::SenseReversing) {
-        if (a.hasDataSymbol(barrier.counter))
-            return;
-        a.dataSymbol(barrier.name + ".counter", barrier.counter);
-        a.dataSymbol(barrier.name + ".sense", barrier.senseWord);
-        return;
-    }
-    if (barrier.wakeSense.empty() ||
-        a.hasDataSymbol(barrier.childNotReady0.front()))
-        return;
-    for (std::size_t t = 0; t < barrier.wakeSense.size(); ++t) {
-        const std::string n = std::to_string(t);
-        a.dataSymbol(barrier.name + ".cnr0." + n, barrier.childNotReady0[t]);
-        a.dataSymbol(barrier.name + ".cnr1." + n, barrier.childNotReady1[t]);
-        a.dataSymbol(barrier.name + ".wake." + n, barrier.wakeSense[t]);
-    }
-}
-
-} // namespace
-
 void
 emitBarrier(Assembler& a, const BarrierHandle& barrier, SyncFlavor flavor,
             CoreId tid, bool record)
 {
-    registerBarrierSymbols(a, barrier);
     if (barrier.algo == BarrierAlgo::SenseReversing)
         emitSrBarrier(a, barrier, flavor, tid, record);
     else

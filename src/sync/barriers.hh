@@ -39,9 +39,6 @@ struct BarrierHandle
     BarrierAlgo algo = BarrierAlgo::SenseReversing;
     unsigned numThreads = 0;
 
-    /** Symbol stem for attribution ("barrier0"); see LockHandle::name. */
-    std::string name;
-
     // SR barrier:
     Addr counter = 0;         ///< arrivals remaining
     Addr senseWord = 0;       ///< global sense
@@ -60,15 +57,24 @@ struct BarrierHandle
 /**
  * Allocate an SR barrier whose counter is protected by a fresh lock of
  * @p counter_lock_algo (the paper's naive/scalable pairing: T&T&S or CLH).
+ * Its lines are named "barrierN.counter", "barrierN.sense" and, for the
+ * lock, "barrierN.lock" (see makeLock).
  */
 BarrierHandle makeSrBarrier(SyncLayout& layout, unsigned num_threads,
                             LockAlgo counter_lock_algo);
 
-/** Allocate the Fig. 14 variant with a single atomic fetch&decrement. */
+/**
+ * Allocate the Fig. 14 variant with a single atomic fetch&decrement. It
+ * never takes its counter lock, so the lock's lines stay unnamed.
+ */
 BarrierHandle makeSrBarrierAtomic(SyncLayout& layout,
                                   unsigned num_threads);
 
-/** Allocate a TreeSR barrier over a binary tree of @p num_threads. */
+/**
+ * Allocate a TreeSR barrier over a binary tree of @p num_threads. Each
+ * thread's lines are named "barrierN.cnr0.T", "barrierN.cnr1.T" and
+ * "barrierN.wake.T".
+ */
 BarrierHandle makeTreeBarrier(SyncLayout& layout, unsigned num_threads);
 
 /** Emit a full barrier episode for thread @p tid. */

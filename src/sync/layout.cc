@@ -52,6 +52,12 @@ SyncLayout::autoName(const std::string& stem)
 }
 
 void
+SyncLayout::nameLine(Addr addr, std::string name)
+{
+    names_.try_emplace(addr, std::move(name));
+}
+
+void
 SyncLayout::init(Addr addr, Word value)
 {
     inits_.emplace_back(addr, value);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Simulated-memory layout allocator for synchronization structures and
- * workload data, plus the initial-value list applied before a run.
+ * workload data, plus the initial-value list applied before a run and
+ * the names of the synchronization lines.
  */
 
 #ifndef CBSIM_SYNC_LAYOUT_HH
@@ -58,11 +59,21 @@ class SyncLayout
     /**
      * Next instance name for @p stem: "lock0", "lock1", "barrier0" —
      * one counter per stem, so names are stable and unique within a
-     * layout. Used by the sync make* builders to name handles; the
-     * emitters bind those names as data symbols for attribution, once
-     * per handle per program (on its first emission into an Assembler).
+     * layout. The sync make* builders name their handles with it.
      */
     std::string autoName(const std::string& stem);
+
+    /**
+     * Name the word at @p addr ("lock0", "barrier0.wake.3"); first
+     * binding wins. Trace export and contention attribution label a
+     * line with the lowest named address in it. The sync make* builders
+     * name the lines threads spin on or update as they allocate them;
+     * guard, phase and data lines stay unnamed and print as hex.
+     */
+    void nameLine(Addr addr, std::string name);
+
+    /** Every named line, address-ordered. */
+    const std::map<Addr, std::string>& lineNames() const { return names_; }
 
     /** Record an initial word value, applied by apply(). */
     void init(Addr addr, Word value);
@@ -80,6 +91,7 @@ class SyncLayout
     Addr nextPage_;
     std::vector<std::pair<Addr, Word>> inits_;
     std::map<std::string, unsigned> nameCounts_;
+    std::map<Addr, std::string> names_;
 
     struct PrivateRegion
     {

@@ -84,14 +84,14 @@ emitTasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     if (record)
         a.recordStart(SyncKind::Acquire);
     a.movImm(sreg::addr, lock.lockWord);
-    const auto acq = a.uniqueLabel("acq");
-    const auto spn = a.uniqueLabel("spn");
-    const auto cs = a.uniqueLabel("cs");
+    const Label acq = a.newLabel();
+    const Label spn = a.newLabel();
+    const Label cs = a.newLabel();
 
     switch (flavor) {
       case SyncFlavor::Mesi:
         // Fig. 8 left: spin directly on the atomic.
-        a.label(acq);
+        a.bind(acq);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndSet, 1, 0,
                  false, WakePolicy::None)
             .spin = true;
@@ -100,7 +100,7 @@ emitTasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 
       case SyncFlavor::VipsBackoff:
         // Fig. 8 right: the atomic goes to the LLC; back-off throttles it.
-        a.label(acq);
+        a.bind(acq);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndSet, 1, 0,
                  false, WakePolicy::All)
             .spin = true;
@@ -115,11 +115,11 @@ emitTasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndSet, 1, 0,
                  false, wp);
         a.beqz(sreg::val, cs);
-        a.label(spn);
+        a.bind(spn);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndSet, 1, 0,
                  true, wp);
         a.bnez(sreg::val, spn);
-        a.label(cs);
+        a.bind(cs);
         break;
       }
     }
@@ -136,15 +136,15 @@ emitTtasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     if (record)
         a.recordStart(SyncKind::Acquire);
     a.movImm(sreg::addr, lock.lockWord);
-    const auto acq = a.uniqueLabel("acq");
-    const auto spn = a.uniqueLabel("spn");
-    const auto tas = a.uniqueLabel("tas");
-    const auto cs = a.uniqueLabel("cs");
+    const Label acq = a.newLabel();
+    const Label spn = a.newLabel();
+    const Label tas = a.newLabel();
+    const Label cs = a.newLabel();
 
     switch (flavor) {
       case SyncFlavor::Mesi: {
         // Fig. 10 left: the first Test spins on the cached copy.
-        a.label(acq);
+        a.bind(acq);
         auto& test = a.ld(sreg::val, sreg::addr);
         test.sync = true;
         test.spin = true;
@@ -157,7 +157,7 @@ emitTtasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 
       case SyncFlavor::VipsBackoff:
         // Fig. 10 right: ld_through spin with back-off.
-        a.label(acq);
+        a.bind(acq);
         a.ldThrough(sreg::val, sreg::addr).spin = true;
         a.bnez(sreg::val, acq);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndSet, 1, 0,
@@ -172,14 +172,14 @@ emitTtasAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
         const WakePolicy wp = takePolicy(flavor);
         a.ldThrough(sreg::val, sreg::addr);
         a.beqz(sreg::val, tas);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, sreg::addr);
         a.bnez(sreg::val, spn);
-        a.label(tas);
+        a.bind(tas);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndSet, 1, 0,
                  false, wp);
         a.bnez(sreg::val, spn);
-        a.label(cs);
+        a.bind(cs);
         break;
       }
     }
@@ -241,11 +241,11 @@ emitClhAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     // Save pred for the release ($i->prev in Fig. 12).
     a.st(sreg::pred, sreg::tmp, 8);
 
-    const auto spn = a.uniqueLabel("spn");
-    const auto cs = a.uniqueLabel("cs");
+    const Label spn = a.newLabel();
+    const Label cs = a.newLabel();
     switch (flavor) {
       case SyncFlavor::Mesi: {
-        a.label(spn);
+        a.bind(spn);
         auto& spin_ld = a.ld(sreg::val, sreg::pred, 0);
         spin_ld.sync = true;
         spin_ld.spin = true;
@@ -253,7 +253,7 @@ emitClhAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
         break;
       }
       case SyncFlavor::VipsBackoff:
-        a.label(spn);
+        a.bind(spn);
         a.ldThrough(sreg::val, sreg::pred, 0).spin = true;
         a.bnez(sreg::val, spn);
         break;
@@ -262,10 +262,10 @@ emitClhAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
         // Fig. 13: guard ld_through, then the ld_cb spin loop.
         a.ldThrough(sreg::val, sreg::pred, 0);
         a.beqz(sreg::val, cs);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, sreg::pred, 0);
         a.bnez(sreg::val, spn);
-        a.label(cs);
+        a.bind(cs);
         break;
     }
     if (f)
@@ -313,11 +313,11 @@ void
 emitLockSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base,
                        Reg want, std::int64_t off = 0)
 {
-    const auto spn = a.uniqueLabel("spn");
-    const auto out = a.uniqueLabel("out");
+    const Label spn = a.newLabel();
+    const Label out = a.newLabel();
     switch (flavor) {
       case SyncFlavor::Mesi: {
-        a.label(spn);
+        a.bind(spn);
         auto& spin_ld = a.ld(sreg::val, base, off);
         spin_ld.sync = true;
         spin_ld.spin = true;
@@ -325,7 +325,7 @@ emitLockSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base,
         break;
       }
       case SyncFlavor::VipsBackoff:
-        a.label(spn);
+        a.bind(spn);
         a.ldThrough(sreg::val, base, off).spin = true;
         a.bne(sreg::val, want, spn);
         break;
@@ -333,10 +333,10 @@ emitLockSpinUntilEqual(Assembler& a, SyncFlavor flavor, Reg base,
       case SyncFlavor::CbOne:
         a.ldThrough(sreg::val, base, off); // §3.3 guard
         a.beq(sreg::val, want, out);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, base, off);
         a.bne(sreg::val, want, spn);
-        a.label(out);
+        a.bind(out);
         break;
     }
 }
@@ -346,11 +346,11 @@ void
 emitLockSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base,
                       std::int64_t off = 0)
 {
-    const auto spn = a.uniqueLabel("spn");
-    const auto out = a.uniqueLabel("out");
+    const Label spn = a.newLabel();
+    const Label out = a.newLabel();
     switch (flavor) {
       case SyncFlavor::Mesi: {
-        a.label(spn);
+        a.bind(spn);
         auto& spin_ld = a.ld(sreg::val, base, off);
         spin_ld.sync = true;
         spin_ld.spin = true;
@@ -358,7 +358,7 @@ emitLockSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base,
         break;
       }
       case SyncFlavor::VipsBackoff:
-        a.label(spn);
+        a.bind(spn);
         a.ldThrough(sreg::val, base, off).spin = true;
         a.bnez(sreg::val, spn);
         break;
@@ -366,10 +366,10 @@ emitLockSpinUntilZero(Assembler& a, SyncFlavor flavor, Reg base,
       case SyncFlavor::CbOne:
         a.ldThrough(sreg::val, base, off);
         a.beqz(sreg::val, out);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, base, off);
         a.bnez(sreg::val, spn);
-        a.label(out);
+        a.bind(out);
         break;
     }
 }
@@ -379,11 +379,11 @@ void
 emitLockSpinUntilNonZero(Assembler& a, SyncFlavor flavor, Reg base,
                          std::int64_t off = 0)
 {
-    const auto spn = a.uniqueLabel("spn");
-    const auto out = a.uniqueLabel("out");
+    const Label spn = a.newLabel();
+    const Label out = a.newLabel();
     switch (flavor) {
       case SyncFlavor::Mesi: {
-        a.label(spn);
+        a.bind(spn);
         auto& spin_ld = a.ld(sreg::val, base, off);
         spin_ld.sync = true;
         spin_ld.spin = true;
@@ -391,7 +391,7 @@ emitLockSpinUntilNonZero(Assembler& a, SyncFlavor flavor, Reg base,
         break;
       }
       case SyncFlavor::VipsBackoff:
-        a.label(spn);
+        a.bind(spn);
         a.ldThrough(sreg::val, base, off).spin = true;
         a.beqz(sreg::val, spn);
         break;
@@ -399,10 +399,10 @@ emitLockSpinUntilNonZero(Assembler& a, SyncFlavor flavor, Reg base,
       case SyncFlavor::CbOne:
         a.ldThrough(sreg::val, base, off);
         a.bnez(sreg::val, out);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, base, off);
         a.beqz(sreg::val, spn);
-        a.label(out);
+        a.bind(out);
         break;
     }
 }
@@ -465,7 +465,7 @@ emitMcsAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 {
     const bool f = fenced(flavor);
     const Addr my_node = lock.nodes.at(tid);
-    const auto have_lock = a.uniqueLabel("got");
+    const Label have_lock = a.newLabel();
     if (record)
         a.recordStart(SyncKind::Acquire);
 
@@ -493,7 +493,7 @@ emitMcsAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     // Spin on my own locked flag until the predecessor hands off.
     emitLockSpinUntilZero(a, flavor, sreg::node);
 
-    a.label(have_lock);
+    a.bind(have_lock);
     if (f)
         a.selfInvl();
     if (record)
@@ -506,8 +506,8 @@ emitMcsRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 {
     const bool f = fenced(flavor);
     const Addr my_node = lock.nodes.at(tid);
-    const auto handoff = a.uniqueLabel("handoff");
-    const auto done = a.uniqueLabel("done");
+    const Label handoff = a.newLabel();
+    const Label done = a.newLabel();
     if (record)
         a.recordStart(SyncKind::Release);
     if (f)
@@ -532,7 +532,7 @@ emitMcsRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
     // A successor is enqueuing: wait for its link write.
     emitLockSpinUntilNonZero(a, flavor, sreg::node, 8);
 
-    a.label(handoff);
+    a.bind(handoff);
     // sreg::val holds the successor's node pointer.
     switch (flavor) {
       case SyncFlavor::Mesi:
@@ -546,32 +546,25 @@ emitMcsRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
         a.stCb1Imm(0, sreg::val, 0);
         break;
     }
-    a.label(done);
+    a.bind(done);
     if (record)
         a.recordEnd(SyncKind::Release);
 }
 
 } // namespace
 
-void
-registerLockSymbols(Assembler& a, const LockHandle& lock)
-{
-    if (lock.name.empty() || a.hasDataSymbol(lock.lockWord))
-        return;
-    a.dataSymbol(lock.name, lock.lockWord);
-    if (lock.aux != 0)
-        a.dataSymbol(lock.name + ".next_ticket", lock.aux);
-    for (std::size_t i = 0; i < lock.nodes.size(); ++i)
-        a.dataSymbol(lock.name + ".node" + std::to_string(i),
-                     lock.nodes[i]);
-}
-
 LockHandle
 makeLock(SyncLayout& layout, LockAlgo algo, unsigned num_threads)
 {
+    return makeLock(layout, algo, num_threads, layout.autoName("lock"));
+}
+
+LockHandle
+makeLock(SyncLayout& layout, LockAlgo algo, unsigned num_threads,
+         const std::string& name)
+{
     LockHandle h;
     h.algo = algo;
-    h.name = layout.autoName("lock");
     h.lockWord = layout.allocLine();
 
     if (algo == LockAlgo::Ticket) {
@@ -591,8 +584,7 @@ makeLock(SyncLayout& layout, LockAlgo algo, unsigned num_threads)
         layout.init(h.lockWord, 0); // flag lock starts free
     } else {
         // Tail starts pointing at a released node. Node lines are also
-        // recorded in h.nodes (as for MCS) so the emitters can bind
-        // attribution symbols to the lines threads actually spin on.
+        // recorded in h.nodes (as for MCS) so they can be named.
         const Addr initial_node = layout.allocLine();
         layout.init(initial_node, 0); // succ_wait = 0
         layout.init(h.lockWord, initial_node);
@@ -609,6 +601,14 @@ makeLock(SyncLayout& layout, LockAlgo algo, unsigned num_threads)
             h.privateState.push_back(priv);
         }
     }
+
+    if (!name.empty()) {
+        layout.nameLine(h.lockWord, name);
+        if (h.aux != 0)
+            layout.nameLine(h.aux, name + ".next_ticket");
+        for (std::size_t i = 0; i < h.nodes.size(); ++i)
+            layout.nameLine(h.nodes[i], name + ".node" + std::to_string(i));
+    }
     return h;
 }
 
@@ -616,7 +616,6 @@ void
 emitAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
             CoreId tid, bool record)
 {
-    registerLockSymbols(a, lock);
     switch (lock.algo) {
       case LockAlgo::TestAndSet:
         emitTasAcquire(a, lock, flavor, record);
@@ -640,7 +639,6 @@ void
 emitRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
             CoreId tid, bool record)
 {
-    registerLockSymbols(a, lock);
     switch (lock.algo) {
       case LockAlgo::TestAndSet:
       case LockAlgo::TestAndTestAndSet:

@@ -14,6 +14,7 @@
 #ifndef CBSIM_SYNC_LOCKS_HH
 #define CBSIM_SYNC_LOCKS_HH
 
+#include <string>
 #include <vector>
 
 #include "isa/assembler.hh"
@@ -71,13 +72,6 @@ struct LockHandle
 {
     LockAlgo algo = LockAlgo::TestAndTestAndSet;
 
-    /**
-     * Symbol stem for attribution ("lock0", "barrier0.lock"); the
-     * emitters bind it (and derived names like "lock0.next_ticket") to
-     * the handle's addresses via Assembler::dataSymbol.
-     */
-    std::string name;
-
     Addr lockWord = 0; ///< flag, CLH/MCS tail pointer, or now_serving
 
     /** Ticket: the next_ticket counter (its own line). */
@@ -90,18 +84,26 @@ struct LockHandle
      * Queue node lines. MCS: one per thread ([locked, next]), indexed
      * by tid. CLH: the initial released node followed by one node per
      * thread — emitters never index these (CLH reaches nodes through
-     * privateState); they exist so attribution symbols can be bound to
-     * the lines threads spin on.
+     * privateState); makeLock names them, as the lines threads spin on.
      */
     std::vector<Addr> nodes;
 };
 
 /**
- * Allocate and initialize a lock. CLH allocates numThreads+1 nodes and
- * initializes the tail to a released node.
+ * Allocate and initialize a lock named "lockN" in @p layout. CLH
+ * allocates numThreads+1 nodes and initializes the tail to a released
+ * node.
  */
 LockHandle makeLock(SyncLayout& layout, LockAlgo algo,
                     unsigned num_threads);
+
+/**
+ * As above, with the lock's lines named after @p name: the lock word
+ * @p name, the Ticket counter "<name>.next_ticket" and the queue nodes
+ * "<name>.nodeI". An empty @p name leaves them unnamed.
+ */
+LockHandle makeLock(SyncLayout& layout, LockAlgo algo,
+                    unsigned num_threads, const std::string& name);
 
 /**
  * Emit the acquire sequence for @p lock into @p a, for thread @p tid.
@@ -114,15 +116,6 @@ void emitAcquire(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
 /** Emit the release sequence (including the self-down fence). */
 void emitRelease(Assembler& a, const LockHandle& lock, SyncFlavor flavor,
                  CoreId tid, bool record = true);
-
-/**
- * Bind @p lock's attribution symbols (name, name.next_ticket,
- * name.nodeI) into @p a's data-symbol table. Called by the emitters;
- * no-op for an unnamed handle and on every emission after the first
- * into @p a (its lock word is already named then, and each address
- * belongs to exactly one handle).
- */
-void registerLockSymbols(Assembler& a, const LockHandle& lock);
 
 } // namespace cbsim
 

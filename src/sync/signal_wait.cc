@@ -1,7 +1,5 @@
 #include "sync/signal_wait.hh"
 
-#include <string>
-
 namespace cbsim {
 
 namespace {
@@ -18,32 +16,16 @@ SignalHandle
 makeSignal(SyncLayout& layout)
 {
     SignalHandle s;
-    s.name = layout.autoName("signal");
     s.counter = layout.allocLine();
     layout.init(s.counter, 0);
+    layout.nameLine(s.counter, layout.autoName("signal"));
     return s;
 }
-
-namespace {
-
-/**
- * Name the signal's counter in @p a. The name is the handle's own
- * string, so a repeat emission costs dataSymbol's one lookup.
- */
-void
-registerSignalSymbol(Assembler& a, const SignalHandle& s)
-{
-    if (!s.name.empty())
-        a.dataSymbol(s.name, s.counter);
-}
-
-} // namespace
 
 void
 emitSignal(Assembler& a, const SignalHandle& s, SyncFlavor flavor,
            bool record)
 {
-    registerSignalSymbol(a, s);
     if (record)
         a.recordStart(SyncKind::Signal);
     if (fenced(flavor))
@@ -73,12 +55,11 @@ void
 emitWait(Assembler& a, const SignalHandle& s, SyncFlavor flavor,
          bool record)
 {
-    registerSignalSymbol(a, s);
     if (record)
         a.recordStart(SyncKind::Wait);
     a.movImm(sreg::addr, s.counter);
-    const auto spn = a.uniqueLabel("spn");
-    const auto tad = a.uniqueLabel("tad");
+    const Label spn = a.newLabel();
+    const Label tad = a.newLabel();
 
     const WakePolicy consume_wake =
         fenced(flavor) ? (flavor == SyncFlavor::VipsBackoff
@@ -88,12 +69,12 @@ emitWait(Assembler& a, const SignalHandle& s, SyncFlavor flavor,
 
     switch (flavor) {
       case SyncFlavor::Mesi: {
-        a.label(spn);
+        a.bind(spn);
         auto& spin_ld = a.ld(sreg::val, sreg::addr);
         spin_ld.sync = true;
         spin_ld.spin = true;
         a.beqz(sreg::val, spn);
-        a.label(tad);
+        a.bind(tad);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndDec, 0, 0,
                  false, consume_wake);
         a.beqz(sreg::val, spn);
@@ -101,10 +82,10 @@ emitWait(Assembler& a, const SignalHandle& s, SyncFlavor flavor,
       }
 
       case SyncFlavor::VipsBackoff:
-        a.label(spn);
+        a.bind(spn);
         a.ldThrough(sreg::val, sreg::addr).spin = true;
         a.beqz(sreg::val, spn);
-        a.label(tad);
+        a.bind(tad);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndDec, 0, 0,
                  false, consume_wake);
         a.beqz(sreg::val, spn);
@@ -115,10 +96,10 @@ emitWait(Assembler& a, const SignalHandle& s, SyncFlavor flavor,
         // Fig. 19: guard ld_through, ld_cb spin, ld&st0 consume.
         a.ldThrough(sreg::val, sreg::addr);
         a.bnez(sreg::val, tad);
-        a.label(spn);
+        a.bind(spn);
         a.ldCb(sreg::val, sreg::addr);
         a.beqz(sreg::val, spn);
-        a.label(tad);
+        a.bind(tad);
         a.atomic(sreg::val, sreg::addr, 0, AtomicFunc::TestAndDec, 0, 0,
                  false, consume_wake);
         a.beqz(sreg::val, spn);

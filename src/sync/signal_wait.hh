@@ -17,13 +17,10 @@ namespace cbsim {
 /** A signal/wait counter in simulated memory. */
 struct SignalHandle
 {
-    /** Symbol stem for attribution ("signal0"); see LockHandle::name. */
-    std::string name;
-
     Addr counter = 0;
 };
 
-/** Allocate a signal/wait counter initialized to zero. */
+/** Allocate a signal/wait counter named "signalN", initialized to zero. */
 SignalHandle makeSignal(SyncLayout& layout);
 
 /** Emit the signal side (fetch&increment; Fig. 18/19 "sig:"). */

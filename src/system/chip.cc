@@ -126,7 +126,7 @@ Chip::buildObs()
     }
 
     if (trace_ != nullptr)
-        trace_->setSymbols(&symbols_);
+        trace_->setSymbols(&lineNames_);
 
     if (obs.epochEnabled()) {
         epochSampler_ = std::make_unique<EpochSampler>([this] {
@@ -203,16 +203,15 @@ Chip::~Chip() = default;
 void
 Chip::setProgram(CoreId core, Program program)
 {
-    // Merge the thread's data symbols chip-wide, but only for their two
-    // readers: trace export and contention attribution. Emitters
-    // register the same handle names on every thread, so first binding
-    // wins and a name already merged is a lookup that copies nothing.
-    const ObsConfig& obs = cfg_.debug.obs;
-    if (obs.traceEnabled() || obs.attributionEnabled()) {
-        for (const auto& [addr, name] : program.symbols())
-            symbols_.try_emplace(addr, name);
-    }
     cores_.at(core)->setProgram(std::move(program));
+}
+
+void
+Chip::setLineNames(const std::map<Addr, std::string>& names)
+{
+    const ObsConfig& obs = cfg_.debug.obs;
+    if (obs.traceEnabled() || obs.attributionEnabled())
+        lineNames_ = names;
 }
 
 RunResult
@@ -268,7 +267,7 @@ Chip::run()
         for (const auto& s : attrShards_)
             shards.push_back(s.get());
         result.contention =
-            buildContention(shards, symbols_, RunResult::kContentionTopN);
+            buildContention(shards, lineNames_, RunResult::kContentionTopN);
     }
     if (causal_ != nullptr)
         result.causal = causal_->rows();

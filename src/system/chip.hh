@@ -11,6 +11,7 @@
 #ifndef CBSIM_SYSTEM_CHIP_HH
 #define CBSIM_SYSTEM_CHIP_HH
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,6 +46,13 @@ class Chip
 
     /** Load @p program onto core @p core (before run()). */
     void setProgram(CoreId core, Program program);
+
+    /**
+     * Name data lines for trace tracks and contention rows (a workload's
+     * SyncLayout::lineNames()). The table is copied only when trace
+     * export or attribution is on, its two readers.
+     */
+    void setLineNames(const std::map<Addr, std::string>& names);
 
     /**
      * Run to completion (all cores executed Done).
@@ -135,11 +143,11 @@ class Chip
     std::vector<std::unique_ptr<AttributionTable>> attrShards_;
 
     /**
-     * Data symbols merged from every loaded program (first binding
-     * wins), resolved against contended line addresses after the run.
-     * Empty unless trace export or attribution is on.
+     * Data-line names (setLineNames), resolved against contended line
+     * addresses after the run. Empty unless trace export or attribution
+     * is on.
      */
-    std::map<Addr, std::string> symbols_;
+    std::map<Addr, std::string> lineNames_;
 
     unsigned finished_ = 0;
     bool ran_ = false;

@@ -109,10 +109,11 @@ TEST_F(MesiFixture, SpinnerSpinsLocallyUntilInvalidated)
     build();
     // Core 1 spins on the flag; core 0 sets it after 20k cycles.
     Assembler s;
+    const Label spn = s.newLabel();
     s.movImm(1, kFlag);
-    s.label("spn");
+    s.bind(spn);
     s.ld(2, 1).sync = true;
-    s.beqz(2, "spn");
+    s.beqz(2, spn);
     chip->setProgram(1, s.assemble());
 
     Assembler w;
@@ -136,21 +137,23 @@ TEST_F(MesiFixture, AtomicsAreMutuallyExclusive)
     constexpr int iters = 50;
     for (CoreId c = 0; c < 4; ++c) {
         Assembler a;
+        const Label loop = a.newLabel();
+        const Label acq = a.newLabel();
         a.movImm(1, kFlag);  // lock
         a.movImm(2, kData);  // counter
         a.movImm(5, 0);      // i
         a.movImm(6, iters);
-        a.label("loop");
-        a.label("acq");
+        a.bind(loop);
+        a.bind(acq);
         a.atomic(3, 1, 0, AtomicFunc::TestAndSet, 1, 0, false,
                  WakePolicy::None);
-        a.bnez(3, "acq");
+        a.bnez(3, acq);
         a.ld(4, 2);
         a.addImm(4, 4, 1);
         a.st(4, 2);
         a.stImm(0, 1); // release
         a.addImm(5, 5, 1);
-        a.bne(5, 6, "loop");
+        a.bne(5, 6, loop);
         chip->setProgram(c, a.assemble());
     }
     chip->run();
@@ -222,10 +225,11 @@ TEST_F(MesiFixture, ValuePropagatesThroughInvalidation)
     // Classic message pattern: reader caches, writer invalidates,
     // reader re-fetches the new value.
     Assembler r;
+    const Label spn = r.newLabel();
     r.movImm(1, kFlag);
-    r.label("spn");
+    r.bind(spn);
     r.ld(2, 1).sync = true;
-    r.beqz(2, "spn");
+    r.beqz(2, spn);
     r.movImm(3, kData);
     r.ld(4, 3);
     chip->setProgram(1, r.assemble());

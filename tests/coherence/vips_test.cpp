@@ -68,10 +68,11 @@ TEST_F(VipsFixture, LlcSpinningCostsOneAccessPerIteration)
 {
     build(Technique::BackOff0);
     Assembler s;
+    const Label spn = s.newLabel();
     s.movImm(1, kFlag);
-    s.label("spn");
+    s.bind(spn);
     s.ldThrough(2, 1).spin = true;
-    s.beqz(2, "spn");
+    s.beqz(2, spn);
     chip->setProgram(1, s.assemble());
 
     Assembler w;
@@ -90,13 +91,15 @@ TEST_F(VipsFixture, CallbackBlocksInsteadOfSpinning)
     build(Technique::CbAll);
     // The paper's callback spin idiom: guard ld_through then ld_cb loop.
     Assembler s;
+    const Label out = s.newLabel();
+    const Label spn = s.newLabel();
     s.movImm(1, kFlag);
     s.ldThrough(2, 1);
-    s.bnez(2, "out");
-    s.label("spn");
+    s.bnez(2, out);
+    s.bind(spn);
     s.ldCb(2, 1);
-    s.beqz(2, "spn");
-    s.label("out");
+    s.beqz(2, spn);
+    s.bind(out);
     chip->setProgram(1, s.assemble());
 
     Assembler w;
@@ -120,10 +123,11 @@ TEST_F(VipsFixture, ThreeMessageValueHandOff)
     // exactly {GetCB, write, wake} = 3 messages (§2.1). The writer's
     // completion Ack is the 4th on-chip message.
     Assembler s;
+    const Label spn = s.newLabel();
     s.movImm(1, kFlag);
-    s.label("spn");
+    s.bind(spn);
     s.ldCb(2, 1);
-    s.beqz(2, "spn");
+    s.beqz(2, spn);
     chip->setProgram(1, s.assemble());
 
     Assembler w;
@@ -292,10 +296,11 @@ TEST_F(VipsFixture, StCb1WakesExactlyOneWaiter)
     // Cores 1..3 block on ld_cb; one st_cb1 wakes exactly one.
     for (CoreId c : {1u, 2u, 3u}) {
         Assembler s;
+        const Label spn = s.newLabel();
         s.movImm(1, kFlag);
-        s.label("spn");
+        s.bind(spn);
         s.ldCb(2, 1);
-        s.beqz(2, "spn");
+        s.beqz(2, spn);
         chip->setProgram(c, s.assemble());
     }
     Assembler w;
@@ -327,12 +332,13 @@ TEST_F(VipsFixture, RmwHeldInDirectoryReExecutesOnWake)
     chip->setProgram(0, w.assemble());
 
     Assembler s;
+    const Label spn = s.newLabel();
     s.workImm(1000);
     s.movImm(1, kFlag);
-    s.label("spn");
+    s.bind(spn);
     s.atomic(2, 1, 0, AtomicFunc::TestAndSet, 1, 0, true,
              WakePolicy::Zero);
-    s.bnez(2, "spn");
+    s.bnez(2, spn);
     chip->setProgram(1, s.assemble());
 
     chip->run();
@@ -354,19 +360,22 @@ TEST_F(VipsFixture, PrematureWakeFailsAndReblocks)
     constexpr int iters = 8;
     for (CoreId c = 0; c < 4; ++c) {
         Assembler a;
+        const Label loop = a.newLabel();
+        const Label cs = a.newLabel();
+        const Label spn = a.newLabel();
         a.movImm(1, kFlag);
         a.movImm(2, kData);
         a.movImm(5, 0);
         a.movImm(6, iters);
-        a.label("loop");
+        a.bind(loop);
         a.atomic(3, 1, 0, AtomicFunc::TestAndSet, 1, 0, false,
                  WakePolicy::All);
-        a.beqz(3, "cs");
-        a.label("spn");
+        a.beqz(3, cs);
+        a.bind(spn);
         a.atomic(3, 1, 0, AtomicFunc::TestAndSet, 1, 0, true,
                  WakePolicy::All);
-        a.bnez(3, "spn");
-        a.label("cs");
+        a.bnez(3, spn);
+        a.bind(cs);
         a.selfInvl();
         a.ld(4, 2);
         a.addImm(4, 4, 1);
@@ -374,7 +383,7 @@ TEST_F(VipsFixture, PrematureWakeFailsAndReblocks)
         a.selfDown();
         a.stThroughImm(0, 1);
         a.addImm(5, 5, 1);
-        a.bne(5, 6, "loop");
+        a.bne(5, 6, loop);
         chip->setProgram(c, a.assemble());
     }
     chip->run();
@@ -393,14 +402,17 @@ TEST_F(VipsFixture, DirectoryEvictionPreservesLiveness)
     const Addr words[3] = {w0, w1, w2};
     for (CoreId c : {1u, 2u, 3u}) {
         Assembler s;
+        const Label retry = s.newLabel();
+        const Label out = s.newLabel();
+        const Label spn = s.newLabel();
         s.movImm(1, words[c - 1]);
-        s.label("try");
+        s.bind(retry);
         s.ldThrough(2, 1);
-        s.bnez(2, "out");
-        s.label("spn");
+        s.bnez(2, out);
+        s.bind(spn);
         s.ldCb(2, 1);
-        s.beqz(2, "spn");
-        s.label("out");
+        s.beqz(2, spn);
+        s.bind(out);
         chip->setProgram(c, s.assemble());
     }
     Assembler w;
@@ -451,21 +463,25 @@ TEST_F(VipsFixture, GuardLdThroughPreventsBackToBackSpinDeadlock)
     // loop's guard ld_through must return the already-present value
     // instead of blocking forever.
     Assembler s;
+    const Label l2 = s.newLabel();
+    const Label spn1 = s.newLabel();
+    const Label out = s.newLabel();
+    const Label spn2 = s.newLabel();
     s.movImm(1, kFlag);
     // Loop 1 (guard + ld_cb).
     s.ldThrough(2, 1);
-    s.bnez(2, "l2");
-    s.label("spn1");
+    s.bnez(2, l2);
+    s.bind(spn1);
     s.ldCb(2, 1);
-    s.beqz(2, "spn1");
+    s.beqz(2, spn1);
     // Loop 2 (guard + ld_cb) on the SAME flag value.
-    s.label("l2");
+    s.bind(l2);
     s.ldThrough(2, 1);
-    s.bnez(2, "out");
-    s.label("spn2");
+    s.bnez(2, out);
+    s.bind(spn2);
     s.ldCb(2, 1);
-    s.beqz(2, "spn2");
-    s.label("out");
+    s.beqz(2, spn2);
+    s.bind(out);
     chip->setProgram(1, s.assemble());
 
     Assembler w;

@@ -32,10 +32,11 @@ loadHandOff(Chip& chip)
 {
     idleAll(chip);
     Assembler s;
+    const Label spn = s.newLabel();
     s.movImm(1, kFlag);
-    s.label("spn");
+    s.bind(spn);
     s.ldCb(2, 1).spin = true;
-    s.beqz(2, "spn");
+    s.beqz(2, spn);
     chip.setProgram(1, s.assemble());
     Assembler w;
     w.workImm(4000);
@@ -65,10 +66,11 @@ TEST(InvariantChecker, CleanMesiRunHasNoViolations)
     idleAll(chip);
     // Shared flag: a spinner in S broken by the writer's invalidation.
     Assembler s;
+    const Label spn = s.newLabel();
     s.movImm(1, kFlag);
-    s.label("spn");
+    s.bind(spn);
     s.ld(2, 1).spin = true;
-    s.beqz(2, "spn");
+    s.beqz(2, spn);
     chip.setProgram(1, s.assemble());
     Assembler w;
     w.workImm(4000);

@@ -120,10 +120,11 @@ TEST(Watchdog, TickBudgetExhaustionIsFatalAndDumpsForensics)
     // An infinite loop of through-stores keeps scheduling NoC events at
     // ever-later ticks, so the queue must cross the budget.
     Assembler a;
+    const Label fwd = a.newLabel();
     a.movImm(1, kFlag);
-    a.label("fwd");
+    a.bind(fwd);
     a.stThroughImm(1, 1);
-    a.jump("fwd");
+    a.jump(fwd);
     chip.setProgram(0, a.assemble());
     EXPECT_THROW(chip.run(), FatalError);
 

@@ -139,6 +139,8 @@ TEST(CallbackFuzz, RandomProducerConsumerPairsTerminate)
         for (CoreId t = 0; t < cores; ++t) {
             const unsigned pair = t / 2;
             Assembler a;
+            const Label out = a.newLabel();
+            const Label spn = a.newLabel();
             if (t % 2 == 0) {
                 a.workImm(rng.below(4000));
                 a.movImm(1, flags[pair]);
@@ -146,11 +148,11 @@ TEST(CallbackFuzz, RandomProducerConsumerPairsTerminate)
             } else {
                 a.movImm(1, flags[pair]);
                 a.ldThrough(2, 1);
-                a.bnez(2, "out");
-                a.label("spn");
+                a.bnez(2, out);
+                a.bind(spn);
                 a.ldCb(2, 1);
-                a.beqz(2, "spn");
-                a.label("out");
+                a.beqz(2, spn);
+                a.bind(out);
             }
             chip.setProgram(t, a.assemble());
         }

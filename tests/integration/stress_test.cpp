@@ -100,16 +100,17 @@ TEST(MesiRaceRegression, HighContentionFlagPingPong)
     }
     for (CoreId c = 2; c < 16; ++c) {
         Assembler a;
+        const Label loop = a.newLabel();
         a.movImm(1, flag);
         a.movImm(4, 0);
         a.movImm(5, 2 * rounds - 2);
-        a.label("loop");
+        a.bind(loop);
         auto& spin = a.ld(2, 1);
         spin.sync = true;
         spin.spin = true;
-        a.beq(2, 4, "loop");
+        a.beq(2, 4, loop);
         a.mov(4, 2);
-        a.blt(4, 5, "loop");
+        a.blt(4, 5, loop);
         chip.setProgram(c, a.assemble());
     }
     chip.run(); // termination under the tick guard is the assertion
@@ -218,13 +219,15 @@ TEST(VipsStress, SingleEntryDirectoryManyHotWords)
     chip.setProgram(0, w.assemble());
     for (CoreId c = 1; c < 16; ++c) {
         Assembler a;
+        const Label out = a.newLabel();
+        const Label spn = a.newLabel();
         a.movImm(1, flags[c]);
         a.ldThrough(2, 1);
-        a.bnez(2, "out");
-        a.label("spn");
+        a.bnez(2, out);
+        a.bind(spn);
         a.ldCb(2, 1);
-        a.beqz(2, "spn");
-        a.label("out");
+        a.beqz(2, spn);
+        a.bind(out);
         chip.setProgram(c, a.assemble());
     }
     layout.apply(chip.dataStore());

@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "isa/assembler.hh"
+#include "sync/layout.hh"
 
 namespace cbsim {
 namespace {
@@ -14,9 +17,10 @@ namespace {
 TEST(Assembler, ResolvesBackwardLabels)
 {
     Assembler a;
-    a.label("top");
+    const Label top = a.newLabel();
+    a.bind(top);
     a.movImm(1, 5);
-    a.bnez(1, "top");
+    a.bnez(1, top);
     Program p = a.assemble();
     EXPECT_EQ(p.at(1).imm, 0u);
 }
@@ -24,9 +28,10 @@ TEST(Assembler, ResolvesBackwardLabels)
 TEST(Assembler, ResolvesForwardLabels)
 {
     Assembler a;
-    a.beqz(1, "out");
+    const Label out = a.newLabel();
+    a.beqz(1, out);
     a.movImm(2, 7);
-    a.label("out");
+    a.bind(out);
     a.done();
     Program p = a.assemble();
     EXPECT_EQ(p.at(0).imm, 2u);
@@ -35,16 +40,18 @@ TEST(Assembler, ResolvesForwardLabels)
 TEST(Assembler, UndefinedLabelIsFatal)
 {
     Assembler a;
-    a.jump("nowhere");
+    const Label nowhere = a.newLabel();
+    a.jump(nowhere);
     EXPECT_THROW(a.assemble(), FatalError);
 }
 
 TEST(Assembler, DuplicateLabelIsFatal)
 {
     Assembler a;
-    a.label("x");
+    const Label x = a.newLabel();
+    a.bind(x);
     a.movImm(0, 0);
-    EXPECT_THROW(a.label("x"), FatalError);
+    EXPECT_THROW(a.bind(x), FatalError);
 }
 
 TEST(Assembler, AppendsDoneIfMissing)
@@ -78,6 +85,19 @@ TEST(Assembler, MemoryOperandsEncode)
     EXPECT_TRUE(p.at(1).useImm);
     EXPECT_EQ(p.at(1).imm, 99u);
     EXPECT_EQ(p.at(1).offset, -8);
+}
+
+TEST(Assembler, OffsetOutsideInt32IsFatal)
+{
+    Assembler a;
+    a.ld(1, 2, std::numeric_limits<std::int32_t>::min());
+    a.st(1, 2, std::numeric_limits<std::int32_t>::max());
+    EXPECT_THROW(a.ld(1, 2, std::int64_t{1} << 31), FatalError);
+    EXPECT_THROW(a.stImm(0, 2, -(std::int64_t{1} << 31) - 1), FatalError);
+    EXPECT_THROW(a.ldCb(1, 2, std::int64_t{1} << 40), FatalError);
+    Program p = a.assemble();
+    EXPECT_EQ(p.at(0).offset, std::numeric_limits<std::int32_t>::min());
+    EXPECT_EQ(p.at(1).offset, std::numeric_limits<std::int32_t>::max());
 }
 
 TEST(Assembler, RacyOpsAreSyncMarkedByDefault)
@@ -143,34 +163,40 @@ TEST(Assembler, ListingShowsOpcodes)
 
 TEST(Assembler, UniqueLabelNamesTheNextInstruction)
 {
+    // Each label is its own handle, bound to the next instruction's
+    // index; labels made in a row never collide.
     Assembler a;
-    EXPECT_EQ(a.uniqueLabel("spn"), "spn_0");
+    const Label spn = a.newLabel();
+    const Label out = a.newLabel();
+    a.bind(spn);
     a.movImm(1, 1);
     a.movImm(2, 2);
-    EXPECT_EQ(a.uniqueLabel("out"), "out_2");
+    a.bind(out);
+    a.jump(out);
+    a.jump(spn);
+    Program p = a.assemble();
+    EXPECT_EQ(p.at(2).imm, 2u);
+    EXPECT_EQ(p.at(3).imm, 0u);
 }
 
 TEST(Assembler, DataSymbolFirstBindingWins)
 {
-    Assembler a;
-    EXPECT_FALSE(a.hasDataSymbol(0x40));
-    a.dataSymbol("first", 0x40);
-    a.dataSymbol("second", 0x40);
-    EXPECT_TRUE(a.hasDataSymbol(0x40));
-    Program p = a.assemble();
-    ASSERT_EQ(p.symbols().size(), 1u);
-    EXPECT_EQ(p.symbols().at(0x40), "first");
+    // Line names live in the SyncLayout; an address keeps its first.
+    SyncLayout layout;
+    EXPECT_TRUE(layout.lineNames().empty());
+    layout.nameLine(0x40, "first");
+    layout.nameLine(0x40, "second");
+    ASSERT_EQ(layout.lineNames().size(), 1u);
+    EXPECT_EQ(layout.lineNames().at(0x40), "first");
 }
 
 TEST(Program, CopySharesInstructionStorage)
 {
     Assembler a;
     a.movImm(1, 7);
-    a.dataSymbol("flag", 0x80);
     const Program p = a.assemble();
     const Program q = p;
     EXPECT_EQ(&q.at(0), &p.at(0));
-    EXPECT_EQ(&q.symbols(), &p.symbols());
     EXPECT_EQ(q.size(), p.size());
 }
 
@@ -179,7 +205,6 @@ TEST(Program, DefaultIsEmpty)
     const Program p;
     EXPECT_TRUE(p.empty());
     EXPECT_EQ(p.size(), 0u);
-    EXPECT_TRUE(p.symbols().empty());
 }
 
 TEST(AtomicEval, TestAndSet)

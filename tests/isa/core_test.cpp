@@ -61,11 +61,12 @@ TEST_F(CoreFixture, AluAndBranches)
 TEST_F(CoreFixture, CountedLoopViaBranch)
 {
     Assembler a;
+    const Label loop = a.newLabel();
     a.movImm(1, 0);  // counter
     a.movImm(2, 10); // bound
-    a.label("loop");
+    a.bind(loop);
     a.addImm(1, 1, 1);
-    a.bne(1, 2, "loop");
+    a.bne(1, 2, loop);
     auto core = makeCore(a.assemble());
     runProgram(*core);
     EXPECT_EQ(core->reg(1), 10u);
@@ -160,10 +161,11 @@ TEST_F(CoreFixture, SpinLoopWithBackoffDelaysRetries)
     // scheduled event; the core then exits the loop.
     data.write(0x4000, 0);
     Assembler a;
+    const Label spn = a.newLabel();
     a.movImm(1, 0x4000);
-    a.label("spn");
+    a.bind(spn);
     a.ldThrough(2, 1).spin = true;
-    a.beqz(2, "spn");
+    a.beqz(2, spn);
     auto core = makeCore(a.assemble(), BackoffConfig::capped(5, 16));
     eq.schedule(3000, [&] { data.write(0x4000, 1); });
     core->start();
@@ -180,10 +182,11 @@ TEST_F(CoreFixture, NoBackoffSpinsHot)
 {
     data.write(0x4000, 0);
     Assembler a;
+    const Label spn = a.newLabel();
     a.movImm(1, 0x4000);
-    a.label("spn");
+    a.bind(spn);
     a.ldThrough(2, 1).spin = true;
-    a.beqz(2, "spn");
+    a.beqz(2, spn);
     auto core = makeCore(a.assemble(), BackoffConfig::capped(0, 16));
     eq.schedule(3000, [&] { data.write(0x4000, 1); });
     core->start();
@@ -195,9 +198,10 @@ TEST_F(CoreFixture, NoBackoffSpinsHot)
 TEST_F(CoreFixture, RunawayAluLoopPanics)
 {
     Assembler a;
-    a.label("forever");
+    const Label forever = a.newLabel();
+    a.bind(forever);
     a.movImm(1, 1);
-    a.jump("forever");
+    a.jump(forever);
     auto core = makeCore(a.assemble());
     core->start();
     EXPECT_THROW(eq.run(), PanicError);

@@ -18,6 +18,7 @@
 #include "harness/experiment.hh"
 #include "obs/trace_export.hh"
 #include "support/trace_schema.hh"
+#include "sync/layout.hh"
 #include "system/chip.hh"
 
 namespace cbsim {
@@ -136,10 +137,14 @@ TEST(TraceExporter, DashDirectoryMeansInMemoryOnly)
     EXPECT_EQ(t.writeFile("", "label"), "");
 }
 
-/** Run a 4-core chip with tracing in-memory; return the trace JSON. */
+/**
+ * Run a 4-core chip with tracing in-memory, its data lines named by
+ * @p names; return the trace JSON.
+ */
 std::string
 tracedChipJson(Technique tech,
-               const std::function<Program(CoreId)>& program)
+               const std::function<Program(CoreId)>& program,
+               const std::map<Addr, std::string>& names = {})
 {
     DebugConfig cfg = DebugConfig::current();
     cfg.obs.traceDir = "-";
@@ -148,6 +153,7 @@ tracedChipJson(Technique tech,
     ChipConfig chipCfg = ChipConfig::forTechnique(tech, 4);
     Chip chip(chipCfg);
     EXPECT_NE(chip.traceExporter(), nullptr);
+    chip.setLineNames(names);
     for (CoreId c = 0; c < 4; ++c)
         chip.setProgram(c, program(c));
     chip.run();
@@ -186,29 +192,33 @@ TEST(TraceExporter, ParkAndWakeLandOnTheCbdirTracks)
     // core 1's delayed st_cb1: at least one ld_cb parks in the
     // directory, and the store wakes it.
     constexpr Addr flag = 0x2000;
-    const std::string json =
-        tracedChipJson(Technique::CbOne, [](CoreId c) {
+    SyncLayout layout;
+    layout.nameLine(flag, "flag0");
+    const std::string json = tracedChipJson(
+        Technique::CbOne,
+        [](CoreId c) {
             Assembler a;
-            a.dataSymbol("flag0", flag);
             a.movImm(1, flag);
             if (c == 0) {
-                a.label("spin");
+                const Label spin = a.newLabel();
+                a.bind(spin);
                 a.ldCb(2, 1);
-                a.beqz(2, "spin");
+                a.beqz(2, spin);
             } else if (c == 1) {
                 a.workImm(5000);
                 a.stCb1Imm(7, 1);
             }
             a.done();
             return a.assemble();
-        });
+        },
+        layout.lineNames());
     const auto errs = test::validateTrace(json);
     EXPECT_TRUE(errs.empty()) << errs.front();
     EXPECT_NE(json.find("\"park\""), std::string::npos);
     EXPECT_NE(json.find("\"wake\""), std::string::npos);
     EXPECT_NE(json.find("\"cbdir-blocked\""), std::string::npos);
-    // The programs' data symbols reach the exporter: the parked line
-    // is named, not shown in hex.
+    // The layout's line names reach the exporter: the parked line is
+    // named, not shown in hex.
     EXPECT_NE(json.find("\"flag0\""), std::string::npos);
 }
 

@@ -66,10 +66,13 @@ TEST_P(BarrierTest, SafetyInvariantAcrossPhases)
 
     for (CoreId t = 0; t < cores; ++t) {
         Assembler a;
+        const Label loop = a.newLabel();
+        const Label violation = a.newLabel();
+        const Label next = a.newLabel();
         Rng rng(99 + t);
         a.movImm(7, 0); // phase counter
         a.movImm(8, phases);
-        a.label("loop");
+        a.bind(loop);
         a.workImm(rng.jitter(600, 0.8)); // heavy imbalance
         // slot[t] = p + 1 (racy single-writer store).
         a.movImm(1, slots[t]);
@@ -80,15 +83,15 @@ TEST_P(BarrierTest, SafetyInvariantAcrossPhases)
         a.movImm(1, slots[(t + 1) % cores]);
         a.ldThrough(3, 1);
         a.addImm(2, 7, 1);
-        a.blt(3, 2, "violation");
-        a.jump("next");
-        a.label("violation");
+        a.blt(3, 2, violation);
+        a.jump(next);
+        a.bind(violation);
         a.movImm(1, errors);
         a.atomic(4, 1, 0, AtomicFunc::FetchAndAdd, 1, 0, false,
                  WakePolicy::All);
-        a.label("next");
+        a.bind(next);
         a.addImm(7, 7, 1);
-        a.bne(7, 8, "loop");
+        a.bne(7, 8, loop);
         chip.setProgram(t, a.assemble());
     }
     layout.apply(chip.dataStore());

@@ -52,11 +52,12 @@ struct LockTest : ::testing::TestWithParam<Param>
 
         for (CoreId t = 0; t < cores; ++t) {
             Assembler a;
+            const Label loop = a.newLabel();
             a.workImm(17 * t % 64);
             a.movImm(2, guard);
             a.movImm(5, 0);
             a.movImm(6, iters);
-            a.label("loop");
+            a.bind(loop);
             emitAcquire(a, lock, flavor, t);
             a.ld(4, 2);
             a.addImm(4, 4, 1);
@@ -64,7 +65,7 @@ struct LockTest : ::testing::TestWithParam<Param>
             emitRelease(a, lock, flavor, t);
             a.workImm(40 + t);
             a.addImm(5, 5, 1);
-            a.bne(5, 6, "loop");
+            a.bne(5, 6, loop);
             chip->setProgram(t, a.assemble());
         }
         layout.apply(chip->dataStore());

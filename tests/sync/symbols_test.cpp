@@ -1,8 +1,8 @@
 /**
  * @file
- * Attribution symbols of the sync emitters: a handle's names are bound
- * on its first emission into an assembler, and emitting it again leaves
- * the program's symbol map exactly as one emission did.
+ * Line names of the sync handles: each make* builder names the lines it
+ * allocates in the layout's one table, once, and emitting the handle
+ * into any number of programs leaves that table as it was.
  */
 
 #include <gtest/gtest.h>
@@ -39,22 +39,24 @@ TEST(SyncSymbols, RepeatEmissionLeavesSymbolsUnchanged)
     SyncLayout layout;
     Handles h{makeLock(layout, LockAlgo::Clh, kThreads),
               makeTreeBarrier(layout, kThreads), makeSignal(layout)};
+    const Addr guard = layout.allocLine();
+    layout.init(guard, 0);
+    const std::map<Addr, std::string> made = layout.lineNames();
 
-    Assembler once;
-    emitEpisode(once, h, 5);
-    Assembler twice;
-    emitEpisode(twice, h, 5);
-    emitEpisode(twice, h, 5);
-
-    const Program p1 = once.assemble();
-    const Program p2 = twice.assemble();
-    EXPECT_EQ(p1.symbols(), p2.symbols());
+    for (CoreId t = 0; t < kThreads; ++t) {
+        Assembler a;
+        emitEpisode(a, h, t);
+        emitEpisode(a, h, t);
+        a.assemble();
+    }
+    EXPECT_EQ(layout.lineNames(), made);
 
     // CLH: the tail word plus kThreads + 1 queue nodes; TreeSR: three
-    // flags per thread; one signal counter.
-    EXPECT_EQ(p1.symbols().size(), 1 + (kThreads + 1) + 3 * kThreads + 1);
+    // flags per thread; one signal counter. The guard word is unnamed.
+    EXPECT_EQ(made.size(), 1 + (kThreads + 1) + 3 * kThreads + 1);
+    EXPECT_EQ(made.count(guard), 0u);
     const auto named = [&](const std::string& name) {
-        for (const auto& [addr, n] : p1.symbols())
+        for (const auto& [addr, n] : made)
             if (n == name)
                 return true;
         return false;
@@ -70,16 +72,16 @@ TEST(SyncSymbols, SenseReversingBarrierNamedOnce)
 {
     SyncLayout layout;
     const BarrierHandle b = makeSrBarrierAtomic(layout, 4);
-    Assembler once;
-    emitBarrier(once, b, SyncFlavor::Mesi, 0);
     Assembler twice;
     emitBarrier(twice, b, SyncFlavor::Mesi, 0);
     emitBarrier(twice, b, SyncFlavor::Mesi, 0);
-    const Program p1 = once.assemble();
-    EXPECT_EQ(p1.symbols(), twice.assemble().symbols());
-    ASSERT_EQ(p1.symbols().size(), 2u);
-    EXPECT_EQ(p1.symbols().at(b.counter), "barrier0.counter");
-    EXPECT_EQ(p1.symbols().at(b.senseWord), "barrier0.sense");
+    twice.assemble();
+    // The atomic variant never takes its counter lock, so only the
+    // counter and the sense word are named.
+    const auto& names = layout.lineNames();
+    ASSERT_EQ(names.size(), 2u);
+    EXPECT_EQ(names.at(b.counter), "barrier0.counter");
+    EXPECT_EQ(names.at(b.senseWord), "barrier0.sense");
 }
 
 } // namespace
