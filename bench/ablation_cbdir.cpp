@@ -22,39 +22,6 @@ key(const std::string& bench_name, Technique t, unsigned entries)
 }
 
 void
-printTables()
-{
-    std::cout << "\n=== Ablation: callback directory entries per bank "
-                 "(execution time normalized to 4 entries) ===\n\n";
-    for (Technique t : {Technique::CbAll, Technique::CbOne}) {
-        std::cout << "--- " << techniqueName(t) << " ---\n";
-        std::vector<std::string> headers = {"benchmark"};
-        for (unsigned s : kSizes)
-            headers.push_back(std::to_string(s) + "e");
-        headers.push_back("evict@4");
-        TablePrinter table(std::cout, headers, 16, 10);
-        for (const auto& p : quickSuite()) {
-            const double base = static_cast<double>(
-                result(key(p.name, t, 4)).run.cycles);
-            std::vector<std::string> cells = {p.name};
-            for (unsigned s : kSizes) {
-                cells.push_back(norm(
-                    static_cast<double>(
-                        result(key(p.name, t, s)).run.cycles) /
-                    base));
-            }
-            cells.push_back(std::to_string(
-                result(key(p.name, t, 4)).run.cbdirEvictions));
-            table.row(cells);
-        }
-        table.gap();
-    }
-    std::cout << "Paper claim check: 4 vs 16/64/256 entries should be "
-                 "within noise (§5.2); only the 1-entry stress case may "
-                 "deviate.\n";
-}
-
-void
 registerCells()
 {
     for (const auto& p : quickSuite()) {
@@ -71,7 +38,7 @@ registerCells()
 const BenchRegistrar reg({30, "ablation_cbdir",
                           "§5.2 — callback-directory size sweep "
                           "(1…256 entries/bank)",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

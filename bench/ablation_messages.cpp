@@ -7,17 +7,17 @@
  * A two-core producer/consumer microbenchmark counts actual on-chip
  * messages per communicated value. The raw counts also include each
  * writer's own completion response (Data for MESI, Ack for VIPS), which
- * the paper's 5-vs-3 accounting excludes from both sides; the table
- * reports both views.
+ * the paper's 5-vs-3 accounting excludes from both sides; its table
+ * (report/views.cc) shows both counts.
  */
 
 #include "bench_common.hh"
+#include "report/report.hh"
 
 namespace cbsim::bench {
 namespace {
 
 constexpr Addr kFlag = 0x10000;
-constexpr unsigned kRounds = 50;
 
 /** Consumer spins for value i+1 in round i; producer publishes it. */
 ExperimentResult
@@ -28,7 +28,7 @@ runHandoff(Technique tech)
     const SyncFlavor flavor = syncFlavorFor(tech);
 
     Assembler p;
-    for (unsigned i = 0; i < kRounds; ++i) {
+    for (unsigned i = 0; i < kHandoffValues; ++i) {
         p.workImm(4000);
         p.movImm(1, kFlag);
         if (flavor == SyncFlavor::Mesi)
@@ -47,7 +47,7 @@ runHandoff(Technique tech)
     const Label out = c.newLabel();
     c.movImm(1, kFlag);
     c.movImm(4, 0);       // last value seen
-    c.movImm(5, kRounds); // final value
+    c.movImm(5, kHandoffValues); // final value
     switch (flavor) {
       case SyncFlavor::Mesi:
         c.bind(loop);
@@ -88,36 +88,6 @@ runHandoff(Technique tech)
 }
 
 void
-printTables()
-{
-    std::cout << "\n=== Ablation: messages per communicated value "
-                 "(paper §2.1: invalidation 5 vs callback 3) ===\n\n";
-    TablePrinter table(
-        std::cout,
-        {"technique", "msgs/value", "excl-writer-rsp", "flit-hops/val"},
-        16, 18);
-    for (Technique t : {Technique::Invalidation, Technique::CbOne}) {
-        const auto& r =
-            result(std::string("messages/") + techniqueName(t)).run;
-        const double per_value =
-            static_cast<double>(r.packets) / kRounds;
-        // The writer's completion response (Data under MESI, Ack under
-        // VIPS) is excluded by the paper's accounting on both sides.
-        const double excl = per_value - 1.0;
-        table.row({techniqueName(t), fmt(per_value, 2), fmt(excl, 2),
-                   fmt(static_cast<double>(r.flitHops) / kRounds, 1)});
-    }
-    table.gap();
-    std::cout
-        << "Expected: ~3 for CB-One ({callback, write, wake}, §2.1). The\n"
-           "paper counts the idealized invalidation hand-off as 5\n"
-           "({write, inv, ack, load, data}); a real directory MESI also\n"
-           "pays owner forwarding on the reader's refetch (FwdGetS +\n"
-           "owner data), which this bench measures (~7). Either way the\n"
-           "callback moves fewer, smaller messages (see flit-hops).\n";
-}
-
-void
 registerCells()
 {
     for (Technique t : {Technique::Invalidation, Technique::CbOne}) {
@@ -129,7 +99,7 @@ registerCells()
 const BenchRegistrar reg({31, "ablation_messages",
                           "§2.1 — messages per communicated value "
                           "(5 vs 3)",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

@@ -10,7 +10,7 @@
  * window: MESI cores re-check their L1 and back-off cores must wake to
  * retry.
  *
- * Reported per technique: total core stall cycles, the pausable
+ * Its view shows per technique: total core stall cycles, the pausable
  * (callback-blocked) fraction, and the resulting core-energy saving.
  */
 
@@ -33,38 +33,6 @@ const Technique kTechniques[] = {
 };
 
 void
-printTables()
-{
-    std::cout << "\n=== Ablation: pause-while-waiting (paper §2.1) ===\n"
-              << "(pausable = cycles blocked on callbacks; saving = "
-                 "core energy at corePaused vs coreActive)\n\n";
-    TablePrinter table(std::cout,
-                       {"bench/technique", "stall-cyc", "pausable",
-                        "pausable%", "saving-nJ"},
-                       30, 13);
-    for (const auto& p : quickSuite()) {
-        for (Technique t : kTechniques) {
-            const auto& res = result(key(p.name, t));
-            const auto& r = res.run;
-            const double pct =
-                r.stallCycles
-                    ? 100.0 * static_cast<double>(r.cbBlockedCycles) /
-                          static_cast<double>(r.stallCycles)
-                    : 0.0;
-            table.row({p.name + std::string(" / ") + techniqueName(t),
-                       std::to_string(r.stallCycles),
-                       std::to_string(r.cbBlockedCycles), fmt(pct, 1),
-                       fmt(pauseSavings(r), 1)});
-        }
-        table.gap();
-    }
-    std::cout
-        << "Expected: only the callback techniques have a non-zero "
-           "pausable fraction; for synchronization-heavy benchmarks "
-           "most of their stall time is pausable.\n";
-}
-
-void
 registerCells()
 {
     for (const auto& p : quickSuite()) {
@@ -79,7 +47,7 @@ registerCells()
 const BenchRegistrar reg({32, "ablation_pause",
                           "§2.1 — pause-while-waiting core-energy "
                           "saving",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

@@ -5,7 +5,8 @@
  * to the first earlier cell with the same run identity (sameRun), runs
  * each distinct simulation once on a SweepRunner worker pool, writes
  * one JSON artifact per module (every cell's row under its own key),
- * and prints the paper-shaped tables in module order.
+ * and prints each module's paper view (report/views.cc) of its artifact
+ * text in module order, so --no-json still prints the tables.
  */
 
 #include "bench_common.hh"
@@ -26,7 +27,9 @@
 #include "harness/journal.hh"
 #include "harness/json.hh"
 #include "harness/result_codec.hh"
+#include "harness/table.hh"
 #include "report/json_value.hh"
+#include "report/report.hh"
 #include "sim/log.hh"
 
 namespace cbsim::bench {
@@ -53,22 +56,6 @@ currentModule()
 {
     static std::string name;
     return name;
-}
-
-/** One outcome per distinct run, in order of first registration. */
-std::vector<JobOutcome>&
-runs()
-{
-    static std::vector<JobOutcome> r;
-    return r;
-}
-
-/** Cell key -> index of its run in runs(). */
-std::map<std::string, std::size_t>&
-runOfKey()
-{
-    static std::map<std::string, std::size_t> m;
-    return m;
 }
 
 void
@@ -155,15 +142,6 @@ void
 registerCell(const std::string& key, std::function<ExperimentResult()> fn)
 {
     registerJob(SweepJob::custom(key, std::move(fn)));
-}
-
-const ExperimentResult&
-result(const std::string& key)
-{
-    const auto it = runOfKey().find(key);
-    if (it == runOfKey().end() || it->second >= runs().size())
-        fatal("bench cell not run: ", key);
-    return runs()[it->second].result;
 }
 
 /** Parse a --job-timeout-s value: a finite, non-negative decimal
@@ -405,6 +383,7 @@ benchMain(int argc, char** argv)
     // cell's row is the same outcome written under its own key.
     const auto& pending = pendingJobs();
     std::vector<std::size_t> first_cell; // run index -> pending index
+    std::map<std::string, std::size_t> run_of_key; // cell key -> run
     for (std::size_t p = 0; p < pending.size(); ++p) {
         const SweepJob& job = pending[p].second;
         std::size_t r = 0;
@@ -413,16 +392,16 @@ benchMain(int argc, char** argv)
             ++r;
         if (r == first_cell.size())
             first_cell.push_back(p);
-        if (!runOfKey().emplace(job.key, r).second)
+        if (!run_of_key.emplace(job.key, r).second)
             fatal("duplicate bench cell key: ", job.key);
     }
     const auto run_of = [&](std::size_t p) {
-        return runOfKey().at(pending[p].second.key);
+        return run_of_key.at(pending[p].second.key);
     };
 
+    // One outcome per distinct run, in order of first registration.
     // Journaled runs are decoded here, the runner fills in the rest.
-    std::vector<JobOutcome>& outcomes = runs();
-    outcomes.assign(first_cell.size(), JobOutcome());
+    std::vector<JobOutcome> outcomes(first_cell.size());
     std::vector<std::size_t> to_run; // runner index -> run index
     for (std::size_t r = 0; r < first_cell.size(); ++r) {
         const SweepJob& job = pending[first_cell[r]].second;
@@ -493,6 +472,7 @@ benchMain(int argc, char** argv)
     for (std::size_t i = 0; i < ran.size(); ++i)
         outcomes[to_run[i]] = std::move(ran[i]);
 
+    std::vector<std::string> artifacts; // each module's JSON, for its view
     for (const auto& m : mods) {
         ResultSink sink(m.name);
         sink.meta("cores", std::to_string(mode().cores));
@@ -501,6 +481,7 @@ benchMain(int argc, char** argv)
         for (std::size_t p = 0; p < pending.size(); ++p)
             if (pending[p].first == m.name)
                 sink.add(pending[p].second, outcomes[run_of(p)]);
+        artifacts.push_back(sink.toJson());
         if (mode().writeJson) {
             const std::string path =
                 mode().outDir + "/" + m.name + ".json";
@@ -563,11 +544,11 @@ benchMain(int argc, char** argv)
                   << " Mev/s\n";
     }
 
-    // Repro mode runs a hand-picked subset; the table printers would
-    // fatal on the cells that were left out.
+    // Repro mode runs a hand-picked subset, which no view describes.
+    std::string parse_error;
     if (only_keys.empty())
-        for (const auto& m : mods)
-            m.print();
+        for (const std::string& text : artifacts)
+            renderPaperView(JsonValue::parse(text, parse_error), std::cout);
 
     // One line per failed run, named by its first cell; every cell
     // sharing the run carries the same failed row.

@@ -3,8 +3,8 @@
  * Figure 1 reproduction — motivation: explicit invalidation vs LLC
  * spinning with exponential back-off (0/5/10/15 exponentiations), for
  * spin-waiting in a CLH queue lock and a tree sense-reversal barrier.
- * Reports LLC accesses and latency, normalized to the largest value per
- * synchronization algorithm, exactly like the paper's two panels.
+ * Its view (report/views.cc) normalizes LLC accesses and latency to the
+ * largest value per sync algorithm, like the paper's two panels.
  */
 
 #include "bench_common.hh"
@@ -27,44 +27,6 @@ key(SyncMicro m, Technique t)
 }
 
 void
-printTables()
-{
-    std::cout << "\n=== Figure 1: explicit invalidation vs. "
-                 "self-invalidation with back-off ===\n"
-              << "(normalized to the largest value per sync algorithm; "
-                 "latency = mean cycles per operation)\n\n";
-
-    for (const char* metric : {"LLC accesses", "latency"}) {
-        std::cout << "--- " << metric << " ---\n";
-        std::vector<std::string> headers = {"sync-algo"};
-        for (Technique t : kTechniques)
-            headers.push_back(techniqueName(t));
-        TablePrinter table(std::cout, headers, 18, 14);
-        for (SyncMicro m : kMicros) {
-            double raw[5];
-            double max_v = 0.0;
-            for (int i = 0; i < 5; ++i) {
-                const auto& r = result(key(m, kTechniques[i])).run;
-                raw[i] = std::strcmp(metric, "latency") == 0
-                             ? syncLatency(r)
-                             : static_cast<double>(r.llcSyncAccesses);
-                max_v = std::max(max_v, raw[i]);
-            }
-            std::vector<std::string> cells = {syncMicroName(m)};
-            for (int i = 0; i < 5; ++i)
-                cells.push_back(norm(max_v > 0 ? raw[i] / max_v : 0));
-            table.row(cells);
-        }
-        table.gap();
-    }
-    std::cout
-        << "Paper shape check: Invalidation has near-minimal LLC "
-           "accesses and latency; BackOff-0 maximizes LLC accesses; "
-           "increasing the exponentiation cap trades LLC accesses for "
-           "latency (no single best back-off).\n";
-}
-
-void
 registerCells()
 {
     for (SyncMicro m : kMicros) {
@@ -79,7 +41,7 @@ registerCells()
 const BenchRegistrar reg({10, "fig01_motivation",
                           "Fig. 1 — invalidation vs back-off: LLC "
                           "accesses / latency trade-off",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

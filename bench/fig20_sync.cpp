@@ -3,8 +3,8 @@
  * Figure 20 reproduction — effect of callbacks on synchronization:
  * extends Figure 1 with CB-All and CB-One for all analyzed constructs
  * (T&T&S acquire, CLH acquire, SR barrier, TreeSR barrier, and the wait
- * side of signal/wait). Reports LLC accesses and latency normalized to
- * the highest result per construct.
+ * side of signal/wait). Its view (report/views.cc) shows LLC accesses
+ * and latency normalized to the highest result per construct.
  */
 
 #include "bench_common.hh"
@@ -25,45 +25,6 @@ key(SyncMicro m, Technique t)
 }
 
 void
-printTables()
-{
-    std::cout << "\n=== Figure 20: effect of callbacks on "
-                 "synchronization ===\n"
-              << "(normalized to the highest result per construct)\n\n";
-    for (const char* metric : {"LLC accesses", "latency"}) {
-        std::cout << "--- " << metric << " ---\n";
-        std::vector<std::string> headers = {"construct"};
-        for (Technique t : allTechniques)
-            headers.push_back(techniqueName(t));
-        TablePrinter table(std::cout, headers, 18, 13);
-        for (SyncMicro m : kMicros) {
-            std::vector<double> raw;
-            double max_v = 0.0;
-            for (Technique t : allTechniques) {
-                const auto& r = result(key(m, t)).run;
-                raw.push_back(std::strcmp(metric, "latency") == 0
-                                  ? syncLatency(r)
-                                  : static_cast<double>(
-                                        r.llcSyncAccesses));
-                max_v = std::max(max_v, raw.back());
-            }
-            std::vector<std::string> cells = {syncMicroName(m)};
-            for (double v : raw)
-                cells.push_back(norm(max_v > 0 ? v / max_v : 0));
-            table.row(cells);
-        }
-        table.gap();
-    }
-    std::cout
-        << "Paper shape check: back-off variants dominate LLC accesses "
-           "on every construct; CB-All ~ CB-One except for T&T&S "
-           "acquire and the SR barrier (which embeds a T&T&S), where "
-           "only CB-One approaches Invalidation (§5.3); Invalidation "
-           "loses in latency on the naive constructs (T&T&S, SR) under "
-           "contention.\n";
-}
-
-void
 registerCells()
 {
     for (SyncMicro m : kMicros) {
@@ -78,7 +39,7 @@ registerCells()
 const BenchRegistrar reg({20, "fig20_sync",
                           "Fig. 20 — effect of callbacks on five sync "
                           "constructs",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

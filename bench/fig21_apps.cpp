@@ -2,10 +2,10 @@
  * @file
  * Figure 21 reproduction — execution time and network traffic for all
  * 19 benchmarks under scalable synchronization (CLH + TreeSR barrier),
- * all seven configurations, normalized to Invalidation, with the
- * geometric mean the paper quotes (callbacks ~11% faster and ~27% less
- * traffic than Invalidation; ~5% faster and ~15% less traffic than
- * BackOff-10).
+ * all seven configurations; its view normalizes them to Invalidation,
+ * with the geometric mean the paper quotes (callbacks ~11% faster and
+ * ~27% less traffic than Invalidation; ~5% faster and ~15% less traffic
+ * than BackOff-10).
  */
 
 #include "bench_common.hh"
@@ -17,55 +17,6 @@ std::string
 key(const std::string& bench_name, Technique t)
 {
     return "fig21/" + bench_name + "/" + techniqueName(t);
-}
-
-double
-metricOf(const RunResult& r, bool traffic)
-{
-    return traffic ? static_cast<double>(r.flitHops)
-                   : static_cast<double>(r.cycles);
-}
-
-void
-printTables()
-{
-    std::cout << "\n=== Figure 21: execution time and network traffic, "
-                 "19 benchmarks, scalable sync (CLH + TreeSR) ===\n"
-              << "(normalized to Invalidation)\n\n";
-    for (bool traffic : {false, true}) {
-        std::cout << (traffic ? "--- network traffic (flit-hops) ---\n"
-                              : "--- execution time (cycles) ---\n");
-        std::vector<std::string> headers = {"benchmark"};
-        for (Technique t : allTechniques)
-            headers.push_back(techniqueName(t));
-        TablePrinter table(std::cout, headers, 16, 13);
-
-        std::map<Technique, std::vector<double>> normalized;
-        for (const auto& p : figSuite()) {
-            const double base = metricOf(
-                result(key(p.name, Technique::Invalidation)).run,
-                traffic);
-            std::vector<std::string> cells = {p.name};
-            for (Technique t : allTechniques) {
-                const double v =
-                    metricOf(result(key(p.name, t)).run, traffic) /
-                    base;
-                normalized[t].push_back(v);
-                cells.push_back(norm(v));
-            }
-            table.row(cells);
-        }
-        std::vector<std::string> gm = {"geomean"};
-        for (Technique t : allTechniques)
-            gm.push_back(norm(geomean(normalized[t])));
-        table.row(gm);
-        table.gap();
-    }
-    std::cout
-        << "Paper shape check (geomean row): callback variants <= 1.0 "
-           "vs Invalidation in time, clearly < 1.0 in traffic, and "
-           "beat BackOff-15 in traffic while matching the best "
-           "back-off in time.\n";
 }
 
 void
@@ -83,7 +34,7 @@ registerCells()
 const BenchRegistrar reg({21, "fig21_apps",
                           "Fig. 21 — exec time + network traffic, 19 "
                           "benchmarks, 7 configs",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

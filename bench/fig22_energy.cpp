@@ -1,7 +1,7 @@
 /**
  * @file
  * Figure 22 reproduction — energy consumption (L1 / LLC / network
- * breakdown) for all 19 benchmarks, normalized to Invalidation.
+ * breakdown) for all 19 benchmarks, normalized to Invalidation (view).
  * The paper's qualitative story: Invalidation spins in the (relatively
  * expensive) L1; back-off shifts energy into LLC + network; callbacks
  * minimize all three. Quoted numbers: callbacks ~40% below Invalidation
@@ -20,46 +20,6 @@ key(const std::string& bench_name, Technique t)
 }
 
 void
-printTables()
-{
-    std::cout << "\n=== Figure 22: energy consumption (normalized to "
-                 "Invalidation; components are fractions of the "
-                 "config's on-chip total) ===\n\n";
-    std::vector<std::string> headers = {"benchmark"};
-    for (Technique t : allTechniques)
-        headers.push_back(techniqueName(t));
-    TablePrinter table(std::cout, headers, 16, 24);
-
-    std::map<Technique, std::vector<double>> normalized;
-    for (const auto& p : figSuite()) {
-        const double base =
-            result(key(p.name, Technique::Invalidation))
-                .energy.onChip();
-        std::vector<std::string> cells = {p.name};
-        for (Technique t : allTechniques) {
-            const auto& e = result(key(p.name, t)).energy;
-            const double total = e.onChip() / base;
-            normalized[t].push_back(total);
-            // total(L1/LLC/net shares)
-            cells.push_back(
-                norm(total) + "(" + fmt(e.l1 / e.onChip(), 2) + "/" +
-                fmt(e.llc / e.onChip(), 2) + "/" +
-                fmt(e.network / e.onChip(), 2) + ")");
-        }
-        table.row(cells);
-    }
-    std::vector<std::string> gm = {"geomean"};
-    for (Technique t : allTechniques)
-        gm.push_back(norm(geomean(normalized[t])));
-    table.row(gm);
-    table.gap();
-    std::cout
-        << "Paper shape check: Invalidation is L1-heavy; BackOff-0/5 "
-           "shift weight to LLC+network; callbacks minimize the "
-           "total.\n";
-}
-
-void
 registerCells()
 {
     for (const auto& p : figSuite()) {
@@ -73,7 +33,7 @@ registerCells()
 
 const BenchRegistrar reg({22, "fig22_energy",
                           "Fig. 22 — L1/LLC/network energy breakdown",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

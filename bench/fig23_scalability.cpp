@@ -2,9 +2,9 @@
  * @file
  * Figure 23 reproduction — can callbacks make up for non-scalable
  * synchronization? TreeSR barrier fixed, lock implementation varied
- * between T&T&S (naive) and CLH (scalable); geometric mean of total
- * execution time and network traffic over all benchmarks for
- * Invalidation, BackOff-10, CB-All, and CB-One.
+ * between T&T&S (naive) and CLH (scalable). Its view (report/views.cc)
+ * shows the geometric mean of total execution time and network traffic
+ * over all benchmarks for Invalidation, BackOff-10, CB-All, and CB-One.
  *
  * Paper result: scalable locks matter for Invalidation (in time) but
  * NOT for callbacks — naive sync with callbacks is as good as scalable
@@ -29,51 +29,6 @@ key(const std::string& bench_name, Technique t, bool naive)
 }
 
 void
-printTables()
-{
-    std::cout << "\n=== Figure 23: naive (T&T&S) vs scalable (CLH) "
-                 "locks, TreeSR barrier fixed ===\n"
-              << "(geomean over all benchmarks, normalized to "
-                 "Invalidation/CLH)\n\n";
-    TablePrinter table(std::cout,
-                       {"config", "exec-time", "net-traffic"}, 28, 14);
-
-    std::map<std::string, double> time_gm, traffic_gm;
-    std::vector<double> base_time, base_traffic;
-    for (const auto& p : figSuite()) {
-        base_time.push_back(static_cast<double>(
-            result(key(p.name, Technique::Invalidation, false))
-                .run.cycles));
-        base_traffic.push_back(static_cast<double>(
-            result(key(p.name, Technique::Invalidation, false))
-                .run.flitHops));
-    }
-    for (Technique t : kTechniques) {
-        for (bool naive : {false, true}) {
-            std::vector<double> times, traffics;
-            std::size_t i = 0;
-            for (const auto& p : figSuite()) {
-                const auto& r = result(key(p.name, t, naive)).run;
-                times.push_back(static_cast<double>(r.cycles) /
-                                base_time[i]);
-                traffics.push_back(static_cast<double>(r.flitHops) /
-                                   base_traffic[i]);
-                ++i;
-            }
-            const std::string name = std::string(techniqueName(t)) +
-                                     (naive ? " + T&T&S" : " + CLH");
-            table.row({name, norm(geomean(times)),
-                       norm(geomean(traffics))});
-        }
-    }
-    table.gap();
-    std::cout
-        << "Paper shape check: Invalidation degrades in time with "
-           "T&T&S; the callback rows are nearly identical between "
-           "T&T&S and CLH.\n";
-}
-
-void
 registerCells()
 {
     for (const auto& p : figSuite()) {
@@ -94,7 +49,7 @@ registerCells()
 const BenchRegistrar reg({23, "fig23_scalability",
                           "Fig. 23 — naive (T&T&S) vs scalable (CLH) "
                           "locks",
-                          registerCells, printTables});
+                          registerCells});
 
 } // namespace
 } // namespace cbsim::bench

@@ -19,7 +19,11 @@
 #     journaled under fig01_motivation. A sweep of both modules,
 #     SIGKILLed after journaling at least one shared run and then
 #     resumed, publishes both artifacts byte-identical to an
-#     uninterrupted run's.
+#     uninterrupted run's;
+#  5. a crashed cell never aborts the tables: with one fig21_apps cell
+#     crashed, the sweep exits 1 with its FAILED line, and the Fig. 21
+#     table prints "-" for the cell and its geomean instead of
+#     panicking on the missing value.
 #
 # Usage: check_crash_resume.sh <repo-root> <bench_all-binary> <scratch-dir>
 
@@ -200,6 +204,32 @@ for m in fig01_motivation fig20_sync; do
         status=1
     fi
 done
+
+# --- 6. A crashed cell prints "-" and the sweep still exits 1 ---------------
+CBSIM_HARNESS_FAULTS="kill-child@3" \
+    $bin --smoke --jobs 1 --isolate --only fig21_apps \
+         --out-dir "$scratch/fig21" \
+         --quarantine-dir "$scratch/fig21/quarantine" \
+         > "$scratch/fig21.log" 2> "$scratch/fig21.err"
+rc=$?
+if [ "$rc" -ne 1 ]; then
+    echo "check_crash_resume: fig21 sweep with a crashed cell exited" \
+         "$rc, want 1" >&2
+    tail -n 20 "$scratch/fig21.err" >&2
+    status=1
+fi
+if ! grep -q "^FAILED (crashed): fig21/radiosity/BackOff-5" \
+        "$scratch/fig21.err"; then
+    echo "check_crash_resume: fig21 sweep printed no FAILED line for" \
+         "fig21/radiosity/BackOff-5" >&2
+    status=1
+fi
+if ! sed -n '/^=== Figure 21/,$p' "$scratch/fig21.log" | grep -q ' -$\| - '
+then
+    echo "check_crash_resume: Fig. 21 table prints no '-' for the" \
+         "crashed cell" >&2
+    status=1
+fi
 
 [ "$status" -eq 0 ] && echo "check_crash_resume: OK"
 exit $status

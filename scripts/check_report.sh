@@ -2,7 +2,10 @@
 # Reporting regression, run as a ctest tier-2 entry (report_smoke_golden).
 #
 # Drives cbsim-report end-to-end against the checked-in smoke goldens:
-#  - every golden artifact must render (figure tables + contention);
+#  - every golden artifact must render (paper view + contention), and
+#    its paper view must be that module's block of tables.txt verbatim:
+#    the tables bench_all --smoke prints;
+#  - an artifact whose bench has no paper view must fail (exit 1);
 #  - the fig20 render must show all three technique families with
 #    symbolic object names (the schema-v4 attribution contract);
 #  - an artifact diffed against itself must be clean (exit 0);
@@ -34,6 +37,35 @@ for golden in "$golden_dir"/*.json; do
         status=1
     fi
 done
+
+# Each render's paper view is its module's block of tables.txt: from
+# its "===" line up to the next module's.
+for golden in "$golden_dir"/*.json; do
+    name=$(basename "$golden")
+    out="$scratch/$name.out"
+    title=$(grep -m 1 '^===' "$out")
+    awk -v t="$title" '$0 == t { on = 1; print; next } /^===/ { on = 0 } on' \
+        "$golden_dir/tables.txt" > "$scratch/$name.want"
+    lines=$(wc -l < "$scratch/$name.want")
+    sed -n '/^===/,$p' "$out" | head -n "$lines" > "$scratch/$name.got"
+    if [ -z "$title" ] || [ "$lines" -eq 0 ] ||
+       ! cmp -s "$scratch/$name.want" "$scratch/$name.got"; then
+        echo "check_report: $name view is not its tables.txt block:" >&2
+        diff -u "$scratch/$name.want" "$scratch/$name.got" | head -n 20 >&2
+        status=1
+    fi
+done
+
+# A bench with no paper view is an error, not an empty render.
+sed 's/"bench": "fig20_sync"/"bench": "no_such_bench"/' \
+    "$golden_dir/fig20_sync.json" > "$scratch/noview.json"
+"$bin" "$scratch/noview.json" > "$scratch/noview.out" 2>&1
+rc=$?
+if [ "$rc" -ne 1 ] || ! grep -q "no paper view" "$scratch/noview.out"; then
+    echo "check_report: viewless bench exited $rc, want 1 with" \
+         "'no paper view'" >&2
+    status=1
+fi
 
 # The sync-figure render must carry the per-technique contention
 # breakdown with symbolic names, not hex.

@@ -5,10 +5,13 @@
 # the checked-in goldens under tests/golden/smoke/. The artifacts are a
 # pure function of the job list and the simulator (docs/RESULTS.md), so
 # ANY difference is a simulated-behaviour change — the test that proves
-# a kernel rework preserved bit-exact determinism.
+# a kernel rework preserved bit-exact determinism. The printed paper
+# views (stdout from the first "===" line to the end) are compared
+# against tables.txt the same way.
 #
 # Regenerate goldens after an *intentional* behaviour change with:
-#   ./build/bench/bench_all --smoke --jobs 2 --out-dir tests/golden/smoke
+#   ./build/bench/bench_all --smoke --jobs 2 --out-dir tests/golden/smoke \
+#       | sed -n '/^===/,$p' > tests/golden/smoke/tables.txt
 #
 # Usage: check_smoke_golden.sh <repo-root> <bench_all-binary> <scratch-dir>
 
@@ -26,9 +29,10 @@ golden_dir="$root/tests/golden/smoke"
 
 rm -rf "$scratch"
 mkdir -p "$scratch"
-"$bin" --smoke --jobs 2 --out-dir "$scratch" > "$scratch/stdout.log" 2>&1 || {
+"$bin" --smoke --jobs 2 --out-dir "$scratch" > "$scratch/stdout.log" \
+    2> "$scratch/stderr.log" || {
     echo "check_smoke_golden: bench_all --smoke failed:" >&2
-    tail -n 20 "$scratch/stdout.log" >&2
+    tail -n 20 "$scratch/stdout.log" "$scratch/stderr.log" >&2
     exit 1
 }
 
@@ -55,6 +59,13 @@ for produced in "$scratch"/*.json; do
         status=1
     fi
 done
+
+sed -n '/^===/,$p' "$scratch/stdout.log" > "$scratch/tables.txt"
+if ! cmp -s "$golden_dir/tables.txt" "$scratch/tables.txt"; then
+    echo "check_smoke_golden: printed tables differ from tables.txt:" >&2
+    diff -u "$golden_dir/tables.txt" "$scratch/tables.txt" | head -n 40 >&2
+    status=1
+fi
 
 [ "$status" -eq 0 ] && echo "check_smoke_golden: OK (byte-identical)"
 exit $status

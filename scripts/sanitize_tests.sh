@@ -16,7 +16,10 @@
 # (forced callback-directory evictions, delayed messages) under the
 # sanitizers, and the chaos tier (crash_safety_test) covers the
 # crash-safe sweep layer's fork + pipe teardown and journal I/O —
-# see docs/ROBUSTNESS.md.
+# see docs/ROBUSTNESS.md. report_test drives the hand-written
+# recursive-descent JSON parser and the paper views built on it;
+# obs_test covers the observation layer (attribution shards, causal
+# stitching, epochs, trace export).
 #
 # Uses a nested build tree so the sanitizer flags never leak into the
 # primary build; the tree is reused incrementally across runs.
@@ -50,7 +53,7 @@ cmake -S "$src" -B "$bld" \
 cmake --build "$bld" -j "$(nproc)" \
       --target sim_test noc_test mem_test protocol_test debug_test \
                soak_test harness_test crash_safety_test isa_test \
-               sync_test \
+               sync_test report_test obs_test \
       > "$bld.build.log" 2>&1 || {
     echo "sanitize_tests: build failed; see $bld.build.log" >&2
     tail -n 40 "$bld.build.log" >&2
@@ -66,7 +69,8 @@ for bin in "$bld/tests/sim_test" "$bld/tests/noc_test" \
            "$bld/tests/mem_test" "$bld/tests/protocol_test" \
            "$bld/tests/debug_test" "$bld/tests/soak_test" \
            "$bld/tests/harness_test" "$bld/tests/crash_safety_test" \
-           "$bld/tests/isa_test" "$bld/tests/sync_test"; do
+           "$bld/tests/isa_test" "$bld/tests/sync_test" \
+           "$bld/tests/report_test" "$bld/tests/obs_test"; do
     echo "sanitize_tests: running $bin"
     "$bin" || status=1
 done

@@ -43,10 +43,4 @@ fmt(double v, int prec)
     return os.str();
 }
 
-std::string
-norm(double v)
-{
-    return fmt(v, 3);
-}
-
 } // namespace cbsim

@@ -32,11 +32,8 @@ class TablePrinter
     std::size_t columns_;
 };
 
-/** Format a double with @p prec decimals. */
+/** Format a double with @p prec decimals ("1.000", "0.127"). */
 std::string fmt(double v, int prec = 3);
-
-/** Format a normalized value ("1.000", "0.127"). */
-std::string norm(double v);
 
 } // namespace cbsim
 

@@ -44,7 +44,6 @@ class JsonValue
 
     bool boolean() const { return bool_; }
     double number() const { return num_; }
-    std::uint64_t asU64() const { return static_cast<std::uint64_t>(num_); }
 
     /** String payload, or the raw numeric token for Number values. */
     const std::string& text() const { return str_; }

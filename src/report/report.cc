@@ -1,6 +1,5 @@
 #include "report/report.hh"
 
-#include <algorithm>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -10,19 +9,6 @@
 namespace cbsim {
 
 namespace {
-
-/** The per-figure pivot metrics, in render order. */
-struct FigureMetric
-{
-    const char* field; ///< metrics key in the artifact
-    const char* title; ///< table heading (paper figure it feeds)
-};
-
-constexpr FigureMetric kFigureMetrics[] = {
-    {"cycles", "execution cycles (Figs. 20-23)"},
-    {"llc_sync_accesses", "synchronization LLC accesses (Figs. 1, 20)"},
-    {"flit_hops", "network flit-hops (traffic)"},
-};
 
 bool
 isArtifact(const JsonValue& doc)
@@ -37,19 +23,6 @@ u64Str(double v)
     std::ostringstream os;
     os << static_cast<std::uint64_t>(v);
     return os.str();
-}
-
-/** Row label of one run: workload, plus cores when the sweep varies it. */
-std::string
-rowLabel(const JsonValue& run, bool multi_cores)
-{
-    const JsonValue& cfg = run.get("config");
-    std::string label = cfg.getString("workload");
-    if (label.empty())
-        label = run.getString("key");
-    if (multi_cores && cfg.get("cores").isNumber())
-        label += "/" + u64Str(cfg.getNumber("cores"));
-    return label;
 }
 
 } // namespace
@@ -85,81 +58,10 @@ renderFigureTables(const JsonValue& doc, std::ostream& os)
         os << "\n";
     }
 
-    // Pass 1: collect the pivot axes in first-seen order.
-    std::vector<std::string> techniques;
-    std::vector<std::string> rows;
-    std::vector<const JsonValue*> custom;
-    std::map<std::string, bool> seenCores; // workload -> >1 core count?
-    std::map<std::string, double> firstCores;
-    for (const JsonValue& run : doc.get("runs").items()) {
-        const JsonValue& cfg = run.get("config");
-        const std::string tech = cfg.getString("technique");
-        if (tech.empty()) {
-            custom.push_back(&run);
-            continue;
-        }
-        const std::string wl = cfg.getString("workload");
-        if (firstCores.count(wl) == 0)
-            firstCores[wl] = cfg.getNumber("cores");
-        else if (firstCores[wl] != cfg.getNumber("cores"))
-            seenCores[wl] = true;
-        if (std::find(techniques.begin(), techniques.end(), tech) ==
-            techniques.end())
-            techniques.push_back(tech);
-    }
-
-    // Pass 2: cell values keyed by (row, technique).
-    std::map<std::pair<std::string, std::string>, const JsonValue*> cells;
-    for (const JsonValue& run : doc.get("runs").items()) {
-        const JsonValue& cfg = run.get("config");
-        const std::string tech = cfg.getString("technique");
-        if (tech.empty())
-            continue;
-        const std::string wl = cfg.getString("workload");
-        const std::string label = rowLabel(run, seenCores.count(wl) != 0);
-        if (std::find(rows.begin(), rows.end(), label) == rows.end())
-            rows.push_back(label);
-        cells[{label, tech}] = &run;
-    }
-
-    for (const FigureMetric& metric : kFigureMetrics) {
-        if (rows.empty())
-            break;
-        os << "\n" << metric.title << "\n";
-        std::vector<std::string> headers{"workload"};
-        headers.insert(headers.end(), techniques.begin(),
-                       techniques.end());
-        TablePrinter t(os, headers, 20, 14);
-        for (const std::string& row : rows) {
-            std::vector<std::string> line{row};
-            for (const std::string& tech : techniques) {
-                auto it = cells.find({row, tech});
-                if (it == cells.end() ||
-                    !it->second->get("ok").boolean()) {
-                    line.push_back("-");
-                    continue;
-                }
-                line.push_back(u64Str(
-                    it->second->get("metrics").getNumber(metric.field)));
-            }
-            t.row(line);
-        }
-    }
-
-    if (!custom.empty()) {
-        os << "\ncustom runs\n";
-        TablePrinter t(os, {"key", "cycles", "llc_accesses", "flit_hops"},
-                       28, 14);
-        for (const JsonValue* run : custom) {
-            if (!run->get("ok").boolean()) {
-                t.row({run->getString("key"), "-", "-", "-"});
-                continue;
-            }
-            const JsonValue& m = run->get("metrics");
-            t.row({run->getString("key"), u64Str(m.getNumber("cycles")),
-                   u64Str(m.getNumber("llc_accesses")),
-                   u64Str(m.getNumber("flit_hops"))});
-        }
+    if (!renderPaperView(doc, os)) {
+        os << "error: no paper view for bench '" << doc.getString("bench")
+           << "'\n";
+        return false;
     }
     return true;
 }
@@ -377,10 +279,12 @@ usage(std::ostream& err)
            "       cbsim-report --diff <old.json> <new.json> "
            "[--threshold FRAC]\n"
            "\n"
-           "Render a bench/results artifact (docs/RESULTS.md) as "
-           "paper-style\n"
-           "tables plus the per-run contention attribution breakdown, "
-           "or diff\n"
+           "Render a bench/results artifact (docs/RESULTS.md) as its "
+           "figure's\n"
+           "paper view plus the per-run contention attribution breakdown "
+           "(an\n"
+           "artifact whose bench has no view is an error, exit 1), or "
+           "diff\n"
            "two artifacts and fail (exit 1) on cost-metric regressions "
            "beyond\n"
            "the threshold (default 0.02 = 2%). Partial artifacts "

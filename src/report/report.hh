@@ -5,7 +5,7 @@
  *
  * Consumes the versioned JSON artifacts bench binaries write under
  * bench/results/ and renders them back into paper-shaped tables:
- * per-figure workload × technique pivots, the per-run contention
+ * each figure's paper view (views.cc), the per-run contention
  * attribution breakdown (schema v4 "contention"), and an old-vs-new
  * artifact diff that flags cost-metric regressions beyond a relative
  * threshold. Library (not main) so tests can drive every mode
@@ -24,12 +24,22 @@
 
 namespace cbsim {
 
+/** Values the §2.1 hand-off bench (ablation_messages) communicates per
+ * run; its paper view divides message and flit counts by it. */
+constexpr unsigned kHandoffValues = 50;
+
 /**
- * Paper-style pivot tables for one artifact: one table per figure
- * metric (cycles, sync LLC accesses, flit-hops), rows = workloads,
- * columns = techniques. Custom-kind runs render as a flat key table.
+ * Print the paper view (views.cc) of artifact @p doc's `bench`.
+ * @return false, printing nothing, when that bench has no view
+ */
+bool renderPaperView(const JsonValue& doc, std::ostream& os);
+
+/**
+ * The artifact's header line, a warning when any run is not ok, and the
+ * paper view of its bench (renderPaperView): the same tables bench_all
+ * prints after a sweep.
  * @return false (with a message on @p os) when @p doc is not a cbsim
- *         results artifact
+ *         results artifact or its bench has no view
  */
 bool renderFigureTables(const JsonValue& doc, std::ostream& os);
 

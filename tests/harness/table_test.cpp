@@ -51,8 +51,8 @@ TEST(Format, FixedPrecision)
 {
     EXPECT_EQ(fmt(1.23456, 2), "1.23");
     EXPECT_EQ(fmt(2.0, 0), "2");
-    EXPECT_EQ(norm(0.5), "0.500");
-    EXPECT_EQ(norm(1.0), "1.000");
+    EXPECT_EQ(fmt(0.5), "0.500");
+    EXPECT_EQ(fmt(1.0), "1.000");
 }
 
 TEST(TablePrinter, FirstColumnLeftRestRightAligned)
@@ -73,12 +73,13 @@ TEST(TablePrinter, FirstColumnLeftRestRightAligned)
 
 TEST(TablePrinter, NormalizationRowsLineUpNumerically)
 {
-    // The bench binaries print normalized series (norm()): every value
-    // lands in the same fixed format so columns stay comparable.
+    // The paper views print normalized series (fmt() at its default 3
+    // decimals): every value lands in the same fixed format so columns
+    // stay comparable.
     std::ostringstream os;
     TablePrinter t(os, {"tech", "llc", "traffic"}, 12, 10);
-    t.row({"Invalidation", norm(1.0), norm(1.0)});
-    t.row({"CB-One", norm(0.127), norm(0.271)});
+    t.row({"Invalidation", fmt(1.0), fmt(1.0)});
+    t.row({"CB-One", fmt(0.127), fmt(0.271)});
     const auto text = os.str();
     EXPECT_NE(text.find("1.000"), std::string::npos);
     EXPECT_NE(text.find("0.127"), std::string::npos);

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the reporting layer behind cbsim-report: the JSON parser
- * (the read-side complement of harness/json.hh), figure-table and
+ * (the read-side complement of harness/json.hh), paper-view and
  * contention rendering, the artifact diff, and the CLI entry point's
  * exit-code contract (0 ok / 1 regression / 2 usage or parse error).
  */
@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "report/json_value.hh"
 #include "report/report.hh"
@@ -98,13 +99,13 @@ TEST(JsonValue, RejectsMalformedDocuments)
     EXPECT_EQ(v.items()[6].text(), "6e+2");
 }
 
-/** A minimal two-run schema-v4 artifact, parsed. */
+/** A minimal two-run schema-v4 fig20_sync artifact, parsed. */
 JsonValue
 sampleArtifact(std::uint64_t invCycles, bool cbOk)
 {
     std::ostringstream os;
     os << R"({
-      "schema_version": 4, "generator": "cbsim", "bench": "t",
+      "schema_version": 4, "generator": "cbsim", "bench": "fig20_sync",
       "meta": {},
       "runs": [
         {"key": "m/Invalidation",
@@ -140,9 +141,12 @@ TEST(Report, RendersFigureTablesAndContention)
     ASSERT_TRUE(renderFigureTables(sampleArtifact(7016, true), os));
     const std::string tables = os.str();
     EXPECT_NE(tables.find("schema v4"), std::string::npos);
+    EXPECT_NE(tables.find("=== Figure 20"), std::string::npos) << tables;
     EXPECT_NE(tables.find("Invalidation"), std::string::npos);
     EXPECT_NE(tables.find("CB-One"), std::string::npos);
-    EXPECT_NE(tables.find("7016"), std::string::npos);
+    // LLC accesses over the row's largest: 33 -> 1.000, 29 -> 0.879.
+    EXPECT_NE(tables.find("1.000        0.879"), std::string::npos)
+        << tables;
 
     std::ostringstream cs;
     ASSERT_TRUE(renderContention(sampleArtifact(7016, true), cs, 10));
@@ -153,6 +157,16 @@ TEST(Report, RendersFigureTablesAndContention)
     std::string err;
     std::ostringstream bad;
     EXPECT_FALSE(renderFigureTables(JsonValue::parse("{}", err), bad));
+
+    // So is an artifact whose bench has no paper view.
+    std::ostringstream viewless;
+    EXPECT_FALSE(renderFigureTables(
+        JsonValue::parse(
+            R"({"schema_version": 8, "bench": "t", "runs": []})", err),
+        viewless));
+    EXPECT_NE(viewless.str().find("no paper view for bench 't'"),
+              std::string::npos)
+        << viewless.str();
 }
 
 TEST(Report, DiffFlagsRegressionsImprovementsAndFailures)
@@ -197,7 +211,7 @@ partialArtifact()
 {
     std::string err;
     JsonValue v = JsonValue::parse(R"({
-      "schema_version": 5, "generator": "cbsim", "bench": "t",
+      "schema_version": 5, "generator": "cbsim", "bench": "fig20_sync",
       "meta": {},
       "runs": [
         {"key": "m/Invalidation",
@@ -228,6 +242,9 @@ TEST(Report, FlagsPartialArtifactsAndQuarantinedDiffs)
               std::string::npos)
         << os.str();
     EXPECT_NE(os.str().find("quarantined"), std::string::npos);
+    // The crashed cell prints "-", not a value.
+    EXPECT_NE(os.str().find("1.000            -"), std::string::npos)
+        << os.str();
 
     // A healthy artifact stays warning-free.
     std::ostringstream clean;
@@ -250,6 +267,71 @@ TEST(Report, FlagsPartialArtifactsAndQuarantinedDiffs)
     ASSERT_EQ(stuck.regressions.size(), 1u);
     EXPECT_NE(stuck.regressions[0].find("quarantined"), std::string::npos)
         << stuck.regressions[0];
+}
+
+/** The render of a checked-in golden artifact, split into lines. */
+std::vector<std::string>
+renderGolden(const std::string& path)
+{
+    std::string err;
+    const JsonValue doc =
+        JsonValue::parseFile(std::string(CBSIM_GOLDEN_DIR) + "/" + path, err);
+    EXPECT_TRUE(err.empty()) << err;
+    std::ostringstream os;
+    EXPECT_TRUE(renderFigureTables(doc, os));
+    std::vector<std::string> lines;
+    std::istringstream in(os.str());
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** Whitespace-separated fields of one table line. */
+std::vector<std::string>
+fields(const std::string& line)
+{
+    std::istringstream in(line);
+    std::vector<std::string> out;
+    for (std::string f; in >> f;)
+        out.push_back(f);
+    return out;
+}
+
+TEST(Report, CrashedCellPrintsDashAndLeavesItsRowMaxToOkCells)
+{
+    // The partial golden's crashed cell, fig01/CLH/BackOff-0, would be
+    // the CLH row's largest LLC-access count; it must print "-" in both
+    // tables instead of a plausible 0.000, and the row is normalised to
+    // its largest ok cell.
+    const std::vector<std::string> partial =
+        renderGolden("partial/fig01_motivation.json");
+    std::size_t backoff0 = 0;
+    std::vector<std::string> treesr;
+    int clh_rows = 0;
+    for (const std::string& line : partial) {
+        const std::vector<std::string> f = fields(line);
+        if (!f.empty() && f[0] == "sync-algo") {
+            ASSERT_EQ(f[2], "BackOff-0") << line;
+            backoff0 = 2;
+        } else if (!f.empty() && f[0] == "CLH") {
+            ASSERT_EQ(f.size(), 6u) << line;
+            EXPECT_EQ(f[backoff0], "-") << line;
+            ++clh_rows;
+        } else if (!f.empty() && f[0] == "TreeSR-barrier") {
+            treesr.push_back(line);
+        }
+    }
+    EXPECT_EQ(clh_rows, 2);
+
+    // The TreeSR-barrier rows, all of whose cells are ok, print exactly
+    // as in the healthy smoke golden.
+    std::vector<std::string> healthy;
+    for (const std::string& line :
+         renderGolden("smoke/fig01_motivation.json"))
+        if (line.rfind("TreeSR-barrier", 0) == 0)
+            healthy.push_back(line);
+    ASSERT_EQ(healthy.size(), 2u);
+    EXPECT_EQ(treesr, healthy);
 }
 
 /**
